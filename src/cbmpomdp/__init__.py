@@ -19,7 +19,7 @@ from .iohmm import (Dataset, GemConfig, IohmmModel, Posteriors, RulForecast,
 from .pomdp import (CostTable, PbviConfig, Policy, PomdpModel, backup,
                     belief_update, build_pomdp, build_pomdp_from_matrices,
                     expand, expected_reward, observation_prob, pbvi_solve,
-                    policy_value, prune_alphas)
+                    prune_alphas)
 from .runtime import (Decision, DecisionContext, belief_from_symbols,
                       decide_from_features, decide_recursive, decide_stateless,
                       run_session)

@@ -56,3 +56,15 @@ def _plusplus_seed(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
             continue
         centroids.append(X[int(rng.choice(n, p=d2 / total))])
     return np.array(centroids, dtype=float)
+
+
+def cluster_covariances(X: np.ndarray, centroids: np.ndarray, labels: np.ndarray,
+                        ridge: float) -> np.ndarray:
+    """Within-cluster covariance about each centroid plus a ridge, in cluster
+    order (k, d, d); an empty cluster gets the ridge alone."""
+    k, d = centroids.shape
+    covs = np.empty((k, d, d))
+    for j in range(k):
+        dev = X[labels == j] - centroids[j]
+        covs[j] = dev.T @ dev / max(dev.shape[0], 1) + ridge * np.eye(d)
+    return covs

@@ -16,7 +16,6 @@ import numpy as np
 from .pomdp import CostTable, PomdpModel, build_pomdp_from_matrices
 
 CAPACITY_LABELS = ("C=1.2", "C=1.3", "C=1.5")
-PM_LABEL = "PM"
 
 #: (3, 6, 6) transition matrices, one per capacity; rows are the current
 #: state (1..5 then failure), columns the next state. Failure is absorbing
@@ -65,7 +64,7 @@ def bearing_pomdp(discount: float = 0.95) -> PomdpModel:
     """The assembled 6-state, 4-action decision model."""
     return build_pomdp_from_matrices(
         CAPACITY_TRANSITIONS, OBSERVATION_MATRIX, COST_TABLE,
-        discount=discount, action_labels=list(CAPACITY_LABELS), pm_label=PM_LABEL)
+        discount=discount, action_labels=list(CAPACITY_LABELS))
 
 
 def write_fixture_csvs(out_dir) -> dict:

@@ -18,24 +18,19 @@ from pathlib import Path
 import numpy as np
 
 from . import bearing
+from ._json import write_json
 from .errors import DataError, NumericalError
-from .features import (FEATURE_NAMES, read_features_csv, read_samples_csv,
-                       segment_stream, windows_to_features, write_features_csv)
+from .features import (read_features_csv, read_samples_csv, segment_stream,
+                       windows_to_features, write_features_csv)
 from .gmm import GmmConfig, GmmModel, fit_gmm
-from .iohmm import (Dataset, GemConfig, IohmmModel, Sequence, forward_filter,
-                    gem_fit, predict_rul, select_k)
+from .iohmm import Dataset, GemConfig, IohmmModel, Sequence, gem_fit, select_k
 from .pomdp import (CostTable, PbviConfig, Policy, PomdpModel, build_pomdp,
                     build_pomdp_from_matrices, pbvi_solve)
 from .runtime import DecisionContext, decide_from_features, run_session
-from .sim import SimConfig, compare_classical, k_sweep, rul_experiment, simulate
+from .sim import (SimConfig, compare_classical, k_sweep, rul_experiment, rul_forecasts,
+                  simulate)
 
 log = logging.getLogger(__name__)
-
-
-def _write_json(path: Path, obj) -> None:
-    with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=1)
-        fh.write("\n")
 
 
 def _write_csv(path: Path, header: list, rows: list) -> None:
@@ -139,6 +134,11 @@ def _assemble_pomdp(args) -> PomdpModel:
     raise DataError("one of --fixture, --transitions, or --iohmm is required")
 
 
+def _pbvi_config(args) -> PbviConfig:
+    return PbviConfig(improve_tol=args.improve_tol, max_improve_sweeps=args.max_sweeps,
+                      max_expansions=args.max_expansions)
+
+
 def _gem_config(args) -> GemConfig:
     return GemConfig(n_states=getattr(args, "states", 2),
                      emission_mode=args.emission_mode, max_iters=args.max_iters,
@@ -163,7 +163,7 @@ def cmd_train(args, out: Path) -> None:
     dataset = _load_dataset(args.data, args.actions)
     model, trace = gem_fit(dataset, _gem_config(args))
     model.save(out / "iohmm.json")
-    _write_json(out / "train_log.json", {
+    write_json(out / "train_log.json", {
         "loglik_trace": trace,
         "n_iters": len(trace),
         "converged": len(trace) < args.max_iters,
@@ -208,25 +208,36 @@ def cmd_build_pomdp(args, out: Path) -> None:
 def cmd_solve(args, out: Path) -> None:
     model = _assemble_pomdp(args)
     model.save(out / "pomdp.json")
-    config = PbviConfig(improve_tol=args.improve_tol,
-                        max_improve_sweeps=args.max_sweeps,
-                        max_expansions=args.max_expansions, seed=args.seed)
-    policy = pbvi_solve(model, config=config)
+    policy = pbvi_solve(model, config=_pbvi_config(args))
     policy.save(out / "policy.json")
     print(f"solve: {policy.alphas.shape[0]} alpha vectors, residual {policy.residual:.2e} "
           f"-> {out / 'policy.json'}")
 
 
-def _decision_context(args) -> DecisionContext:
+def _check_policy(policy: Policy, pomdp: PomdpModel) -> None:
+    """The policy must have been solved for this decision model."""
+    if policy.alphas.shape[1] != pomdp.n_states:
+        raise DataError(f"policy alphas have {policy.alphas.shape[1]} entries for a "
+                        f"{pomdp.n_states}-state pomdp")
+    if policy.action_labels != pomdp.action_labels:
+        raise DataError(f"policy actions {list(policy.action_labels)} differ from the "
+                        f"pomdp's {list(pomdp.action_labels)}")
+
+
+def _decision_context(args, belief_mode: str) -> DecisionContext:
     pomdp = PomdpModel.load(args.pomdp)
-    return DecisionContext(gmm=GmmModel.load(args.gmm),
-                           obs_to_state=pomdp.observation[0],
-                           policy=Policy.load(args.policy),
-                           pomdp=pomdp, belief_mode=args.mode)
+    policy = Policy.load(args.policy)
+    _check_policy(policy, pomdp)
+    gmm = GmmModel.load(args.gmm)
+    if gmm.n_components != pomdp.n_obs:
+        raise DataError(f"gmm has {gmm.n_components} symbols for a pomdp with "
+                        f"{pomdp.n_obs}")
+    return DecisionContext(gmm=gmm, obs_to_state=pomdp.observation[0], policy=policy,
+                           pomdp=pomdp, belief_mode=belief_mode)
 
 
 def cmd_decide(args, out: Path) -> None:
-    ctx = _decision_context(args)
+    ctx = _decision_context(args, args.mode)
     if args.features:
         feats = read_features_csv(args.features)["features"][0]
     else:
@@ -242,14 +253,13 @@ def cmd_decide(args, out: Path) -> None:
         "symbol": decision.symbol,
         "symbol_probs": decision.symbol_probs.tolist(),
     }
-    _write_json(out / "decision.json", payload)
+    write_json(out / "decision.json", payload)
     print(f"decide: action={decision.action} value={decision.value:.4f} "
           f"-> {out / 'decision.json'}")
 
 
 def cmd_run_session(args, out: Path) -> None:
-    ctx = _decision_context(args)
-    ctx.belief_mode = args.belief_mode
+    ctx = _decision_context(args, args.belief_mode)
     if args.data:
         epochs = read_features_csv(args.data)["features"]
         rows = run_session(epochs, ctx, mode=args.mode, epochs_are_features=True)
@@ -270,6 +280,7 @@ def cmd_simulate(args, out: Path) -> None:
     model = PomdpModel.load(args.pomdp)
     if args.policy:
         source = Policy.load(args.policy)
+        _check_policy(source, model)
         name = "policy"
     elif args.fixed_action is not None:
         source = args.fixed_action
@@ -278,7 +289,7 @@ def cmd_simulate(args, out: Path) -> None:
         raise DataError("either --policy or --fixed-action is required")
     report = simulate(model, source, SimConfig(horizon=args.horizon,
                                                n_runs=args.runs, seed=args.seed))
-    _write_json(out / "sim_report.json", {"policy_source": name, **report.to_dict()})
+    write_json(out / "sim_report.json", {"policy_source": name, **report.to_dict()})
     _write_csv(out / "sim_runs.csv", ["run", "total", "discounted"],
                [[i, float(report.totals[i]), float(report.discounted[i])]
                 for i in range(report.n_runs)])
@@ -296,10 +307,7 @@ def cmd_k_sweep(args, out: Path) -> None:
     rows = k_sweep(dataset, range(args.k_min, args.k_max + 1), args.components,
                    costs, args.gamma,
                    SimConfig(horizon=args.horizon, n_runs=args.runs, seed=args.seed),
-                   base,
-                   PbviConfig(improve_tol=args.improve_tol,
-                              max_improve_sweeps=args.max_sweeps,
-                              max_expansions=args.max_expansions, seed=args.seed))
+                   base, _pbvi_config(args))
     header = ["K", "mean_total", "mean_discounted", "pm_ratio", "failure_rate"]
     _write_csv(out / "k_sweep.csv", header, [[r[c] for c in header] for r in rows])
     print(f"k-sweep: K={args.k_min}..{args.k_max} -> {out / 'k_sweep.csv'}")
@@ -327,18 +335,14 @@ def cmd_rul(args, out: Path) -> None:
                    "n_evaluated": result["n_evaluated"],
                    "n_censored": result["n_censored"]}
     else:
-        rows = []
-        censored = 0
-        for idx, seq in enumerate(dataset.sequences):
-            beliefs = forward_filter(seq, model)
-            for t in range(seq.obs.shape[0]):
-                fc = predict_rul(beliefs[t], model, args.action,
-                                 horizon=args.horizon, quantiles=quantiles)
-                censored += int(fc.censored)
-                rows.append([idx, t, "", fc.lower, fc.median, fc.upper, fc.censored])
-        summary = {"coverage": None, "n_evaluated": 0, "n_censored": censored}
+        rows = [[idx, t, "", fc.lower, fc.median, fc.upper, fc.censored]
+                for idx, seq in enumerate(dataset.sequences)
+                for t, fc in enumerate(rul_forecasts(seq, model, args.action,
+                                                     args.horizon, quantiles))]
+        summary = {"coverage": None, "n_evaluated": 0,
+                   "n_censored": sum(int(r[-1]) for r in rows)}
     _write_csv(out / "rul.csv", header, rows)
-    _write_json(out / "rul_summary.json", summary)
+    write_json(out / "rul_summary.json", summary)
     cov = summary["coverage"]
     print(f"rul: {len(rows)} forecasts"
           + (f", coverage={cov:.4f}" if cov is not None else "")
@@ -349,13 +353,17 @@ def cmd_rul(args, out: Path) -> None:
 # parser
 
 
-def _add_gem_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--emission-mode", choices=("shared", "action"), default="shared")
+def _add_em_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-iters", type=int, default=200)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--ridge", type=float, default=1e-6)
     p.add_argument("--sort-key", type=int, default=0,
                    help="feature coordinate that orders states/symbols")
+
+
+def _add_gem_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--emission-mode", choices=("shared", "action"), default="shared")
+    _add_em_options(p)
     p.add_argument("--actions", nargs="+", default=None,
                    help="action label order (default: sorted labels found in the data)")
 
@@ -431,10 +439,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="features CSV")
     p.add_argument("--components", type=int, required=True)
     p.add_argument("--covariance", choices=("full", "diag"), default="full")
-    p.add_argument("--max-iters", type=int, default=200)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--ridge", type=float, default=1e-6)
-    p.add_argument("--sort-key", type=int, default=0)
+    _add_em_options(p)
 
     p = add("build-pomdp", cmd_build_pomdp, "assemble the decision model")
     _add_pomdp_inputs(p)
@@ -533,10 +538,7 @@ def main(argv=None) -> int:
     try:
         out.mkdir(parents=True, exist_ok=True)
         args.fn(args, out)
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -21,8 +21,6 @@ FEATURE_NAMES = (
     "pp", "crest", "shape", "impulse", "margin", "energy",
 )
 
-RATIO_FEATURES = ("skewness", "kurtosis", "crest", "shape", "impulse", "margin")
-
 
 class EmptyWindow(DataError):
     pass

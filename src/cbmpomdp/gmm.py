@@ -6,14 +6,14 @@ feature coordinate so symbol indices are stable across fits.
 """
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import logsumexp
 
-from ._cluster import kmeans
+from . import _json
+from ._cluster import cluster_covariances, kmeans
 from .errors import DataError, NumericalError
 
 log = logging.getLogger(__name__)
@@ -63,23 +63,20 @@ class GmmModel:
     def from_dict(cls, d: dict) -> "GmmModel":
         if d.get("kind") != "gmm":
             raise DataError(f"not a gmm model file (kind={d.get('kind')!r})")
-        return cls(
+        model = cls(
             weights=np.asarray(d["weights"], dtype=float),
             means=np.asarray(d["means"], dtype=float),
             covariances=np.asarray(d["covariances"], dtype=float),
             sort_key=int(d["sort_key"]),
             covariance_type=str(d["covariance_type"]),
         )
+        # a covariance the density cannot factor is a numerical error, found at load
+        for mean, cov in zip(model.means, model.covariances):
+            gaussian_logpdf(mean, mean, cov)
+        return model
 
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True, indent=1)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path) -> "GmmModel":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+    save = _json.save
+    load = classmethod(_json.load)
 
 
 def gaussian_logpdf(X: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
@@ -107,20 +104,41 @@ def _component_logdensities(model: GmmModel, X: np.ndarray) -> np.ndarray:
     ])
 
 
+def _log_joint(model: GmmModel, X: np.ndarray) -> np.ndarray:
+    return _component_logdensities(model, X) + np.log(model.weights)[None, :]
+
+
 def responsibilities(model: GmmModel, X: np.ndarray) -> np.ndarray:
     """Posterior symbol probabilities, rows summing to 1; log-sum-exp throughout."""
-    log_joint = _component_logdensities(model, X) + np.log(model.weights)[None, :]
+    log_joint = _log_joint(model, X)
     return np.exp(log_joint - logsumexp(log_joint, axis=1, keepdims=True))
 
 
 def loglik(model: GmmModel, X: np.ndarray) -> float:
-    log_joint = _component_logdensities(model, X) + np.log(model.weights)[None, :]
-    return float(logsumexp(log_joint, axis=1).sum())
+    return float(logsumexp(_log_joint(model, X), axis=1).sum())
 
 
 def discretize(model: GmmModel, X: np.ndarray) -> np.ndarray:
     """Hard symbol labels: argmax responsibility, ties resolved to the lower index."""
     return responsibilities(model, X).argmax(axis=1)
+
+
+def weighted_gaussians(W: np.ndarray, X: np.ndarray, means: np.ndarray,
+                       covariances: np.ndarray, ridge: float, skip=None,
+                       diag: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted Gaussian M-step: per column of W (n, k), the weighted mean and
+    covariance (plus ridge; diagonal only when diag) of the rows of X. Components
+    in skip (default: those with no weight) keep their incoming parameters."""
+    nk = W.sum(axis=0)
+    skip = nk <= 0 if skip is None else skip
+    means, covariances = means.copy(), covariances.copy()
+    ridge_eye = ridge * np.eye(X.shape[1])
+    for k in np.flatnonzero(~skip):
+        means[k] = W[:, k] @ X / nk[k]
+        dev = X - means[k]
+        cov = (W[:, k][:, None] * dev).T @ dev / nk[k] + ridge_eye
+        covariances[k] = np.diag(np.diag(cov)) if diag else cov
+    return means, covariances
 
 
 def fit_gmm(X: np.ndarray, config: GmmConfig) -> GmmModel:
@@ -133,21 +151,16 @@ def fit_gmm(X: np.ndarray, config: GmmConfig) -> GmmModel:
     rng = np.random.default_rng(config.seed)
     centroids, labels = kmeans(X, k, rng)
     global_cov = np.cov(X.T, bias=True).reshape(d, d) + config.ridge * np.eye(d)
-    covs = np.empty((k, d, d))
-    weights = np.empty(k)
-    for j in range(k):
-        members = labels == j
-        weights[j] = max(members.sum(), 1) / n
-        dev = X[members] - centroids[j] if members.any() else np.zeros((1, d))
-        covs[j] = dev.T @ dev / max(members.sum(), 1) + config.ridge * np.eye(d)
+    weights = np.maximum(np.bincount(labels, minlength=k), 1) / n
     weights /= weights.sum()
-    model = GmmModel(weights, centroids.copy(), covs,
+    model = GmmModel(weights, centroids.copy(),
+                     cluster_covariances(X, centroids, labels, config.ridge),
                      sort_key=config.sort_key, covariance_type=config.covariance)
 
     trace: list[float] = []
     prev = None
     for it in range(config.max_iters):
-        lg = _component_logdensities(model, X) + np.log(model.weights)[None, :]
+        lg = _log_joint(model, X)
         norm = logsumexp(lg, axis=1)
         ll = float(norm.sum())
         trace.append(ll)
@@ -157,18 +170,13 @@ def fit_gmm(X: np.ndarray, config: GmmConfig) -> GmmModel:
             break
         prev = ll
         resp = np.exp(lg - norm[:, None])
-        nk = resp.sum(axis=0)
-        model.weights = nk / n
-        collapsed = np.flatnonzero(model.weights < _WEIGHT_FLOOR)
-        for j in range(k):
-            if j in collapsed:
-                continue
-            model.means[j] = resp[:, j] @ X / nk[j]
-            dev = X - model.means[j]
-            cov = (resp[:, j][:, None] * dev).T @ dev / nk[j] + config.ridge * np.eye(d)
-            model.covariances[j] = np.diag(np.diag(cov)) if config.covariance == "diag" else cov
-        if collapsed.size:
-            _reseed_collapsed(model, X, collapsed, global_cov)
+        model.weights = resp.sum(axis=0) / n
+        starved = model.weights < _WEIGHT_FLOOR
+        model.means, model.covariances = weighted_gaussians(
+            resp, X, model.means, model.covariances, config.ridge, skip=starved,
+            diag=config.covariance == "diag")
+        if starved.any():
+            _reseed_collapsed(model, X, np.flatnonzero(starved), global_cov)
             prev = None  # re-seeding breaks the monotone guarantee; reset the gate
     _sort_components(model)
     model.loglik_trace = trace

@@ -10,16 +10,16 @@ by emission mean.
 """
 from __future__ import annotations
 
-import json
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._cluster import TooFewObservations, kmeans
+from . import _json
+from ._cluster import TooFewObservations, cluster_covariances, kmeans
 from .errors import DataError, NumericalError
-from .gmm import gaussian_logpdf
+from .gmm import gaussian_logpdf, weighted_gaussians
 
 log = logging.getLogger(__name__)
 
@@ -150,15 +150,8 @@ class IohmmModel:
             sort_key=int(d["sort_key"]),
         )
 
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True, indent=1)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path) -> "IohmmModel":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+    save = _json.save
+    load = classmethod(_json.load)
 
 
 @dataclass
@@ -204,31 +197,39 @@ def _check_actions(seq: Sequence, model: IohmmModel) -> None:
         raise InvalidAction(f"unknown action id {int(seq.actions[bad][0])}")
 
 
-def forward_backward(seq: Sequence, model: IohmmModel) -> Posteriors:
-    """Scaled forward-backward pass for one input-driven sequence.
+def _forward(seq: Sequence, model: IohmmModel):
+    """Scaled forward recursion for one input-driven sequence.
 
-    Every step is renormalized, with the per-step log scale folded into the
-    returned loglik, so underflow cannot occur regardless of sequence length.
+    Returns the emission likelihoods p (T, K), each row divided by its max
+    (the log shifts (T,) are returned too), the filtered rows alpha (T, K)
+    = P(S_t | O_1..t, A_1..t), and the per-step scales (T,).
     """
     _check_actions(seq, model)
     T, K = seq.obs.shape[0], model.n_states
     logb = _log_emission_matrix(seq, model)
     shift = logb.max(axis=1)
     p = np.exp(logb - shift[:, None])
-
     alpha = np.empty((T, K))
     scale = np.empty(T)
     cur = model.initial * p[0]
-    scale[0] = cur.sum()
-    if scale[0] <= 0:
-        raise NumericalError("sequence has zero probability under the model at epoch 0")
-    alpha[0] = cur / scale[0]
-    for t in range(1, T):
-        cur = (alpha[t - 1] @ model.transitions[seq.actions[t]]) * p[t]
+    for t in range(T):
+        if t:
+            cur = (alpha[t - 1] @ model.transitions[seq.actions[t]]) * p[t]
         scale[t] = cur.sum()
         if scale[t] <= 0:
             raise NumericalError(f"sequence has zero probability under the model at epoch {t}")
         alpha[t] = cur / scale[t]
+    return p, shift, alpha, scale
+
+
+def forward_backward(seq: Sequence, model: IohmmModel) -> Posteriors:
+    """Scaled forward-backward pass for one input-driven sequence.
+
+    Every step is renormalized, with the per-step log scale folded into the
+    returned loglik, so underflow cannot occur regardless of sequence length.
+    """
+    p, shift, alpha, scale = _forward(seq, model)
+    T, K = alpha.shape
     total = float(np.log(scale).sum() + shift.sum())
 
     beta = np.empty((T, K))
@@ -250,21 +251,7 @@ def forward_backward(seq: Sequence, model: IohmmModel) -> Posteriors:
 
 def forward_filter(seq: Sequence, model: IohmmModel) -> np.ndarray:
     """Filtered state beliefs P(S_t | O_1..t, A_1..t), one row per epoch."""
-    _check_actions(seq, model)
-    T, K = seq.obs.shape[0], model.n_states
-    logb = _log_emission_matrix(seq, model)
-    p = np.exp(logb - logb.max(axis=1)[:, None])
-    out = np.empty((T, K))
-    cur = model.initial * p[0]
-    if cur.sum() <= 0:
-        raise NumericalError("sequence has zero probability under the model at epoch 0")
-    out[0] = cur / cur.sum()
-    for t in range(1, T):
-        cur = (out[t - 1] @ model.transitions[seq.actions[t]]) * p[t]
-        if cur.sum() <= 0:
-            raise NumericalError(f"sequence has zero probability under the model at epoch {t}")
-        out[t] = cur / cur.sum()
-    return out
+    return _forward(seq, model)[2]
 
 
 def loglik(dataset: Dataset, model: IohmmModel) -> float:
@@ -294,13 +281,8 @@ def init_kmeans(dataset: Dataset, config: GemConfig) -> IohmmModel:
     def cluster_stats(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         centroids, labels = kmeans(points, K, rng)
         order = np.argsort(centroids[:, config.sort_key], kind="stable")
-        centroids = centroids[order]
-        covs = np.empty((K, d, d))
-        for rank, j in enumerate(order):
-            members = points[labels == j]
-            dev = members - centroids[rank] if members.size else np.zeros((1, d))
-            covs[rank] = dev.T @ dev / max(len(members), 1) + config.ridge * np.eye(d)
-        return centroids, covs
+        covs = cluster_covariances(points, centroids, labels, config.ridge)
+        return centroids[order], covs[order]
 
     if config.emission_mode == "shared":
         means, covs = cluster_stats(X)
@@ -336,39 +318,28 @@ def enforce_left_to_right(model: IohmmModel) -> IohmmModel:
     becomes a self point mass. Projection runs after sorting so the returned
     model always satisfies the constraint.
     """
-    if model.emission_mode == "shared":
-        keys = model.means[:, model.sort_key]
-    else:
-        keys = model.means[:, :, model.sort_key].mean(axis=0)
-    order = np.argsort(keys, kind="stable")
+    state_axis = 0 if model.emission_mode == "shared" else 1
+    keys = model.means[..., model.sort_key]
+    order = np.argsort(keys if state_axis == 0 else keys.mean(axis=0), kind="stable")
     if not np.array_equal(order, np.arange(model.n_states)):
-        if model.emission_mode == "shared":
-            model.means = model.means[order]
-            model.covariances = model.covariances[order]
-        else:
-            model.means = model.means[:, order]
-            model.covariances = model.covariances[:, order]
+        model.means = np.take(model.means, order, axis=state_axis)
+        model.covariances = np.take(model.covariances, order, axis=state_axis)
         model.initial = model.initial[order]
         model.transitions = model.transitions[:, order][:, :, order]
 
     K = model.n_states
-    backward = np.tril(np.ones((K, K)), k=-1).astype(bool)
-    for a in range(model.n_actions):
-        model.transitions[a][backward] = 0.0
-        sums = model.transitions[a].sum(axis=1)
-        for row in range(K):
-            if sums[row] <= 0:
-                model.transitions[a][row] = 0.0
-                model.transitions[a][row, row] = 1.0
-            else:
-                model.transitions[a][row] /= sums[row]
+    trans = model.transitions
+    trans[:, np.tril(np.ones((K, K), dtype=bool), k=-1)] = 0.0
+    sums = trans.sum(axis=2, keepdims=True)
+    empty = sums[:, :, 0] <= 0
+    trans /= np.where(empty[:, :, None], 1.0, sums)
+    trans[empty] = np.eye(K)[np.nonzero(empty)[1]]
     return model
 
 
 def _m_step(dataset: Dataset, posteriors: list, model: IohmmModel,
             config: GemConfig) -> IohmmModel:
     K, A = model.n_states, model.n_actions
-    d = model.n_features
 
     trans_num = np.zeros((A, K, K))
     for seq, post in zip(dataset.sequences, posteriors):
@@ -377,40 +348,23 @@ def _m_step(dataset: Dataset, posteriors: list, model: IohmmModel,
             if steps.size:
                 trans_num[a] += post.xi[steps].sum(axis=0)
     transitions = model.transitions.copy()
-    for a in range(A):
-        row_tot = trans_num[a].sum(axis=1)
-        visited = row_tot > 0
-        transitions[a][visited] = trans_num[a][visited] / row_tot[visited, None]
+    row_tot = trans_num.sum(axis=2)
+    visited = row_tot > 0
+    transitions[visited] = trans_num[visited] / row_tot[visited][:, None]
 
-    ridge_eye = config.ridge * np.eye(d)
-
-    def weighted_gaussian(W: np.ndarray, X: np.ndarray,
-                          old_mean: np.ndarray, old_cov: np.ndarray):
-        nk = W.sum(axis=0)
-        means = old_mean.copy()
-        covs = old_cov.copy()
-        for k in range(K):
-            if nk[k] <= 0:
-                continue
-            means[k] = W[:, k] @ X / nk[k]
-            dev = X - means[k]
-            covs[k] = (W[:, k][:, None] * dev).T @ dev / nk[k] + ridge_eye
-        return means, covs
-
+    X = dataset.pooled_obs()
+    W = np.vstack([p.gamma for p in posteriors])
     if model.emission_mode == "shared":
-        X = dataset.pooled_obs()
-        W = np.vstack([p.gamma for p in posteriors])
-        means, covs = weighted_gaussian(W, X, model.means, model.covariances)
+        means, covs = weighted_gaussians(W, X, model.means, model.covariances, config.ridge)
     else:
         means = model.means.copy()
         covs = model.covariances.copy()
         all_actions = np.concatenate([s.actions for s in dataset.sequences])
-        X = dataset.pooled_obs()
-        W = np.vstack([p.gamma for p in posteriors])
         for a in range(A):
             rows = all_actions == a
             if rows.any():
-                means[a], covs[a] = weighted_gaussian(W[rows], X[rows], means[a], covs[a])
+                means[a], covs[a] = weighted_gaussians(W[rows], X[rows], means[a], covs[a],
+                                                       config.ridge)
 
     return IohmmModel(model.action_labels, transitions, means, covs,
                       model.initial.copy(), emission_mode=model.emission_mode,
@@ -485,10 +439,7 @@ def select_k(dataset: Dataset, k_values, config: GemConfig) -> SelectionReport:
     d = dataset.pooled_obs().shape[1]
     rows = []
     for K in k_values:
-        cfg = GemConfig(n_states=K, emission_mode=config.emission_mode,
-                        max_iters=config.max_iters, tol=config.tol,
-                        ridge=config.ridge, sort_key=config.sort_key,
-                        seed=config.seed, constrained=config.constrained)
+        cfg = replace(config, n_states=K)
         start = time.perf_counter()
         _, trace = gem_fit(dataset, cfg)
         elapsed = time.perf_counter() - start
@@ -507,9 +458,6 @@ class RulForecast:
     quantiles: tuple
     values: tuple            # cycles until the failure mass reaches each quantile
     censored: bool
-
-    def _at(self, q: float) -> int:
-        return self.values[self.quantiles.index(q)]
 
     @property
     def lower(self) -> int:
@@ -554,23 +502,17 @@ def predict_rul(belief: np.ndarray, model: IohmmModel, action,
 
     todo = sorted(quantiles)
     values: dict[float, int] = {}
-    cdf = b[-1]
-    for q in list(todo):
-        if cdf >= q - 1e-12:
-            values[q] = 0
-            todo.remove(q)
     step = 0
-    while todo and step < horizon:
+    while True:
+        while todo and b[-1] >= todo[0] - 1e-12:   # failure mass reached the quantile
+            values[todo.pop(0)] = step
+        if not todo or step >= horizon:
+            break
         a = int(pick(b))
         if not 0 <= a < model.n_actions:
             raise InvalidAction(f"action index {a} out of range")
         b = b @ model.transitions[a]
         step += 1
-        cdf = b[-1]
-        for q in list(todo):
-            if cdf >= q - 1e-12:
-                values[q] = step
-                todo.remove(q)
     censored = bool(todo)
     for q in todo:
         values[q] = horizon
@@ -578,8 +520,8 @@ def predict_rul(belief: np.ndarray, model: IohmmModel, action,
     return RulForecast(quantiles=tuple(quantiles), values=ordered, censored=censored)
 
 
-def sample_sequence(model: IohmmModel, actions, rng: np.random.Generator,
-                    start_state: int | None = None) -> tuple[Sequence, np.ndarray]:
+def sample_sequence(model: IohmmModel, actions,
+                    rng: np.random.Generator) -> tuple[Sequence, np.ndarray]:
     """Draw one trajectory and its observations under a fixed action plan."""
     actions = np.asarray(actions, dtype=int)
     K = model.n_states
@@ -592,10 +534,7 @@ def sample_sequence(model: IohmmModel, actions, rng: np.random.Generator,
             chols[key] = np.linalg.cholesky(covs[state])
         return means[state] + chols[key] @ rng.standard_normal(model.n_features)
 
-    if start_state is None:
-        state = int(rng.choice(K, p=model.initial))
-    else:
-        state = start_state
+    state = int(rng.choice(K, p=model.initial))
     states = [state]
     obs = [emit(state, int(actions[0]))]
     for t in range(1, actions.shape[0]):

@@ -9,16 +9,19 @@ belief expansion.
 """
 from __future__ import annotations
 
-import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import _json
 from .errors import DataError, NumericalError
 from .gmm import GmmModel, responsibilities
 
 log = logging.getLogger(__name__)
+
+#: label of the preventive-maintenance action, always the last action
+PM_LABEL = "PM"
 
 
 class ZeroProbabilityObservation(NumericalError):
@@ -119,15 +122,8 @@ class PomdpModel:
             discount=float(d["discount"]),
         ).validate()
 
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True, indent=1)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path) -> "PomdpModel":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+    save = _json.save
+    load = classmethod(_json.load)
 
 
 def expected_reward(belief: np.ndarray, action, model: PomdpModel) -> float:
@@ -139,17 +135,25 @@ def observation_prob(belief: np.ndarray, action, obs: int, model: PomdpModel) ->
     return float((belief @ model.transition[a]) @ model.observation[a][:, obs])
 
 
-def belief_update(belief: np.ndarray, action, obs: int, model: PomdpModel) -> np.ndarray:
-    """Bayes filter step: predict through the action's transitions, weight by
-    the observation likelihood of the arrival state, renormalize."""
-    a = model.action_index(action)
-    num = model.observation[a][:, obs] * (belief @ model.transition[a])
+def _filter(belief: np.ndarray, a: int, o: int, model: PomdpModel) -> np.ndarray | None:
+    """Bayes filter step: predict through action a's transitions, weight by
+    the arrival state's likelihood of symbol o, renormalize. None when the
+    symbol has zero probability at this belief."""
+    num = model.observation[a][:, o] * (belief @ model.transition[a])
     denom = num.sum()
-    if denom <= 1e-300:
+    return num / denom if denom > 1e-300 else None
+
+
+def belief_update(belief: np.ndarray, action, obs: int, model: PomdpModel) -> np.ndarray:
+    """The Bayes filter step for an action index or label; a zero-probability
+    observation raises ZeroProbabilityObservation."""
+    a = model.action_index(action)
+    out = _filter(belief, a, obs, model)
+    if out is None:
         raise ZeroProbabilityObservation(
             f"observation {obs} has zero probability under action "
             f"{model.action_labels[a]!r} at this belief")
-    return num / denom
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +165,6 @@ class PbviConfig:
     improve_tol: float = 1e-4
     max_improve_sweeps: int = 100
     max_expansions: int = 6
-    seed: int = 0
 
 
 @dataclass
@@ -203,29 +206,26 @@ class Policy:
     def from_dict(cls, d: dict) -> "Policy":
         if d.get("kind") != "policy":
             raise DataError(f"not a policy file (kind={d.get('kind')!r})")
+        alphas = np.asarray(d["alphas"], dtype=float)
+        alpha_actions = np.asarray(d["alpha_actions"], dtype=int)
+        action_labels = tuple(d["action_labels"])
+        if alphas.ndim != 2 or alpha_actions.shape != alphas.shape[:1]:
+            raise DataError(f"policy needs 2-D alphas and one action per row, got "
+                            f"shapes {alphas.shape} and {alpha_actions.shape}")
+        if ((alpha_actions < 0) | (alpha_actions >= len(action_labels))).any():
+            raise DataError(f"alpha actions must index the {len(action_labels)} action labels")
         return cls(
-            alphas=np.asarray(d["alphas"], dtype=float),
-            alpha_actions=np.asarray(d["alpha_actions"], dtype=int),
-            action_labels=tuple(d["action_labels"]),
+            alphas=alphas,
+            alpha_actions=alpha_actions,
+            action_labels=action_labels,
             discount=float(d["discount"]),
             beliefs=None if d["beliefs"] is None else np.asarray(d["beliefs"], dtype=float),
             iterations=int(d["iterations"]),
             residual=float(d["residual"]),
         )
 
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True, indent=1)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path) -> "Policy":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
-
-
-def policy_value(policy: Policy, belief: np.ndarray) -> tuple[float, int]:
-    return policy.value(belief)
+    save = _json.save
+    load = classmethod(_json.load)
 
 
 def backup(belief: np.ndarray, alphas: np.ndarray, model: PomdpModel) -> tuple[np.ndarray, int]:
@@ -263,32 +263,23 @@ def prune_alphas(alphas: np.ndarray, actions: np.ndarray) -> tuple[np.ndarray, n
         return alphas, actions
     ge = (alphas[:, None, :] >= alphas[None, :, :]).all(axis=2)
     eq = ge & ge.T
-    dominated = np.zeros(n, dtype=bool)
-    for i in range(n):
-        for j in range(n):
-            if j != i and ge[j, i] and (not eq[j, i] or j < i):
-                dominated[i] = True
-                break
-    keep = ~dominated
+    # vector i falls to j when j >= i pointwise and j is strictly better
+    # somewhere, or j is an earlier duplicate (j < i)
+    earlier = np.triu(np.ones((n, n), dtype=bool), k=1)
+    keep = ~(ge & (~eq | earlier)).any(axis=0)
     return alphas[keep], actions[keep]
 
 
-def expand(beliefs: list, model: PomdpModel, rng_seed: int = 0) -> list:
+def expand(beliefs: list, model: PomdpModel) -> list:
     """Grow the belief set: for each point, add its one-step successor that
     lies farthest (Euclidean) from everything already kept. Successors closer
-    than 1e-9 are duplicates and are skipped. Deterministic for a given seed
-    (ties go to the first candidate in action-then-observation order)."""
-    del rng_seed  # candidate generation enumerates all successors; nothing is sampled
+    than 1e-9 are duplicates and are skipped. Deterministic: every successor
+    is enumerated, and ties go to the first in action-then-observation order."""
     out = [np.asarray(b, dtype=float) for b in beliefs]
     for b in beliefs:
-        candidates = []
-        for a in range(model.n_actions):
-            pred = b @ model.transition[a]
-            for o in range(model.n_obs):
-                num = model.observation[a][:, o] * pred
-                denom = num.sum()
-                if denom > 1e-300:
-                    candidates.append(num / denom)
+        successors = (_filter(b, a, o, model)
+                      for a in range(model.n_actions) for o in range(model.n_obs))
+        candidates = [c for c in successors if c is not None]
         if not candidates:
             continue
         dists = np.array([min(np.linalg.norm(c - kept) for kept in out) for c in candidates])
@@ -324,11 +315,7 @@ def pbvi_solve(model: PomdpModel, b0: np.ndarray | None = None,
     for round_idx in range(config.max_expansions + 1):
         for _ in range(config.max_improve_sweeps):
             values = np.array([np.max(alphas @ b) for b in beliefs])
-            new_vecs, new_acts = [], []
-            for b in beliefs:
-                vec, act = backup(b, alphas, model)
-                new_vecs.append(vec)
-                new_acts.append(act)
+            new_vecs, new_acts = zip(*(backup(b, alphas, model) for b in beliefs))
             alphas = np.vstack([alphas, np.array(new_vecs)])
             actions = np.concatenate([actions, np.array(new_acts, dtype=int)])
             alphas, actions = prune_alphas(alphas, actions)
@@ -338,7 +325,7 @@ def pbvi_solve(model: PomdpModel, b0: np.ndarray | None = None,
             if residual < config.improve_tol:
                 break
         if round_idx < config.max_expansions:
-            beliefs = expand(beliefs, model, rng_seed=config.seed)
+            beliefs = expand(beliefs, model)
     log.info("pbvi: %d alpha vectors, %d belief points, %d sweeps, residual %.3g",
              alphas.shape[0], len(beliefs), sweeps, residual)
     return Policy(alphas=alphas, alpha_actions=actions,
@@ -352,17 +339,16 @@ def pbvi_solve(model: PomdpModel, b0: np.ndarray | None = None,
 
 def build_pomdp_from_matrices(capacity_transitions, obs_matrix, costs,
                               discount: float = 0.95,
-                              action_labels: list | None = None,
-                              include_pm: bool = True,
-                              pm_label: str = "PM") -> PomdpModel:
+                              action_labels: list | None = None) -> PomdpModel:
     """Assemble a maintenance POMDP from explicit matrices.
 
     capacity_transitions: per-capacity (S, S) matrices whose last state is
     failure. obs_matrix: (S, O) symbol probabilities per state. costs: a
-    CostTable or a ready (A_cap + include_pm, S) reward matrix. The failure
-    row of every action is replaced by a return to state 0 (corrective
-    maintenance happens within one epoch), and the PM action sends every
-    state to 0. Rows are renormalized, so lightly rounded inputs are fine.
+    CostTable or a ready (A_cap + 1, S) reward matrix. The capacity actions
+    are followed by the PM action, labelled PM_LABEL. The failure row of
+    every action is replaced by a return to state 0 (corrective maintenance
+    happens within one epoch), and the PM action sends every state to 0.
+    Rows are renormalized, so lightly rounded inputs are fine.
     """
     X_cap = np.asarray(capacity_transitions, dtype=float)
     if X_cap.ndim != 3 or X_cap.shape[1] != X_cap.shape[2]:
@@ -372,23 +358,20 @@ def build_pomdp_from_matrices(capacity_transitions, obs_matrix, costs,
     if obs.shape[0] != S:
         raise DataError(f"observation matrix has {obs.shape[0]} rows for {S} states")
 
-    n_actions = n_cap + (1 if include_pm else 0)
+    n_actions = n_cap + 1
     if action_labels is None:
         action_labels = [f"a{i}" for i in range(n_cap)]
     else:
         action_labels = list(action_labels)
     if len(action_labels) != n_cap:
         raise DataError(f"{len(action_labels)} labels for {n_cap} capacity actions")
-    if include_pm:
-        action_labels = action_labels + [pm_label]
+    action_labels = action_labels + [PM_LABEL]
 
     X = np.zeros((n_actions, S, S))
     X[:n_cap] = X_cap
-    for a in range(n_cap):
-        X[a, S - 1] = 0.0
-        X[a, S - 1, 0] = 1.0
-    if include_pm:
-        X[n_cap, :, 0] = 1.0
+    X[:n_cap, S - 1] = 0.0
+    X[:n_cap, S - 1, 0] = 1.0
+    X[n_cap, :, 0] = 1.0
 
     if isinstance(costs, CostTable):
         reward = costs.matrix(S - 1)
@@ -431,8 +414,6 @@ def build_pomdp(iohmm_model, gmm: GmmModel | None, costs,
                 obs_matrix=None,
                 n_obs_samples: int = 4096,
                 seed: int = 0,
-                include_pm: bool = True,
-                pm_label: str = "PM",
                 failure_obs_row=None) -> PomdpModel:
     """Assemble the decision model from a trained degradation model.
 
@@ -456,7 +437,6 @@ def build_pomdp(iohmm_model, gmm: GmmModel | None, costs,
                     "last state is not absorbing; pass failure_hazard to append a failure state")
         X_cap = trans.copy()
         S = K
-        emit_means, emit_covs = iohmm_model.emission_params(0)
     else:
         hazard = np.asarray(failure_hazard, dtype=float)
         if hazard.ndim == 1:
@@ -468,13 +448,13 @@ def build_pomdp(iohmm_model, gmm: GmmModel | None, costs,
         X_cap[:, :K, :K] = trans * (1.0 - hazard)[:, :, None]
         X_cap[:, :K, K] = hazard
         X_cap[:, K, K] = 1.0
-        emit_means, emit_covs = iohmm_model.emission_params(0)
 
     if obs_matrix is not None:
         obs = np.atleast_2d(np.asarray(obs_matrix, dtype=float))
     else:
         if gmm is None:
             raise DataError("either a gmm or an explicit observation matrix is required")
+        emit_means, emit_covs = iohmm_model.emission_params(0)
         obs = estimate_observation_rows(emit_means, emit_covs, gmm,
                                         n_samples=n_obs_samples, seed=seed)
     if obs.shape[0] == S - 1 and failure_hazard is not None:
@@ -486,5 +466,4 @@ def build_pomdp(iohmm_model, gmm: GmmModel | None, costs,
 
     return build_pomdp_from_matrices(
         X_cap, obs, costs, discount=discount,
-        action_labels=list(iohmm_model.action_labels),
-        include_pm=include_pm, pm_label=pm_label)
+        action_labels=list(iohmm_model.action_labels))

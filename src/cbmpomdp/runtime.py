@@ -10,7 +10,7 @@ previously executed action.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,22 +70,44 @@ def belief_from_symbols(ctx: DecisionContext, symbol_probs: np.ndarray) -> np.nd
     return belief / total
 
 
-def decide_from_features(features: np.ndarray, ctx: DecisionContext) -> Decision:
-    """Stateless decision from an already-extracted feature vector."""
+def _decide(features: np.ndarray, ctx: DecisionContext, prev=None) -> Decision:
+    """The per-epoch decision from a feature vector. Stateless when prev is
+    None; otherwise the discretized symbol is filtered into the (belief,
+    action) carried in prev, falling back to stateless if it is impossible."""
     feats = np.asarray(features, dtype=float).ravel()
     if not np.isfinite(feats).all():
         raise DataError("feature vector has non-finite entries (degenerate window?)")
     probs = responsibilities(ctx.gmm, feats[None, :])[0]
-    belief = belief_from_symbols(ctx, probs)
+    symbol = int(np.argmax(probs))
+    belief = None
+    if prev is not None:
+        try:
+            belief = belief_update(np.asarray(prev[0], dtype=float), prev[1], symbol,
+                                   ctx.pomdp)
+        except ZeroProbabilityObservation:
+            log.warning("symbol %d impossible under the carried belief; "
+                        "falling back to stateless", symbol)
+    if belief is None:
+        belief = belief_from_symbols(ctx, probs)
     value, action_idx = ctx.policy.value(belief)
     return Decision(action=ctx.policy.action_label(action_idx), action_idx=action_idx,
                     value=value, belief=belief, symbol_probs=probs,
-                    symbol=int(np.argmax(probs)), features=feats)
+                    symbol=symbol, features=feats)
+
+
+def _require_filter(ctx: DecisionContext) -> None:
+    if ctx.pomdp is None:
+        raise DataError("recursive decisions need ctx.pomdp for the belief filter")
+
+
+def decide_from_features(features: np.ndarray, ctx: DecisionContext) -> Decision:
+    """Stateless decision from an already-extracted feature vector."""
+    return _decide(features, ctx)
 
 
 def decide_stateless(signal, ctx: DecisionContext) -> Decision:
     """Decision for one raw sample window; pure, carries no state."""
-    return decide_from_features(extract_features(signal).as_array(), ctx)
+    return _decide(extract_features(signal).as_array(), ctx)
 
 
 def decide_recursive(signal, prev_belief: np.ndarray, prev_action,
@@ -97,24 +119,8 @@ def decide_recursive(signal, prev_belief: np.ndarray, prev_action,
     (so a PM or post-failure reset flows in through the transition model).
     A zero-probability symbol falls back to the stateless decision.
     """
-    if ctx.pomdp is None:
-        raise DataError("recursive decisions need ctx.pomdp for the belief filter")
-    feats = extract_features(signal).as_array()
-    if not np.isfinite(feats).all():
-        raise DataError("feature vector has non-finite entries (degenerate window?)")
-    probs = responsibilities(ctx.gmm, feats[None, :])[0]
-    symbol = int(np.argmax(probs))
-    try:
-        belief = belief_update(np.asarray(prev_belief, dtype=float),
-                               prev_action, symbol, ctx.pomdp)
-    except ZeroProbabilityObservation:
-        log.warning("symbol %d impossible under carried belief; falling back to stateless",
-                    symbol)
-        return decide_from_features(feats, ctx)
-    value, action_idx = ctx.policy.value(belief)
-    return Decision(action=ctx.policy.action_label(action_idx), action_idx=action_idx,
-                    value=value, belief=belief, symbol_probs=probs,
-                    symbol=symbol, features=feats)
+    _require_filter(ctx)
+    return _decide(extract_features(signal).as_array(), ctx, (prev_belief, prev_action))
 
 
 def run_session(epochs, ctx: DecisionContext, mode: str = "stateless",
@@ -129,37 +135,16 @@ def run_session(epochs, ctx: DecisionContext, mode: str = "stateless",
     """
     if mode not in ("stateless", "recursive"):
         raise DataError(f"unknown session mode {mode!r}")
+    if mode == "recursive":
+        _require_filter(ctx)
     rows = []
-    belief = None
-    prev_action: int | None = None
+    prev = None
     for t, epoch in enumerate(epochs):
         try:
-            if epochs_are_features:
-                feats = np.asarray(epoch, dtype=float).ravel()
-            else:
-                feats = extract_features(epoch).as_array()
-            if mode == "recursive" and belief is not None:
-                if ctx.pomdp is None:
-                    raise DataError("recursive decisions need ctx.pomdp for the belief filter")
-                if not np.isfinite(feats).all():
-                    raise DataError("feature vector has non-finite entries "
-                                    "(degenerate window?)")
-                probs = responsibilities(ctx.gmm, feats[None, :])[0]
-                symbol = int(np.argmax(probs))
-                try:
-                    belief = belief_update(belief, prev_action, symbol, ctx.pomdp)
-                except ZeroProbabilityObservation:
-                    log.warning("epoch %d: impossible symbol %d, re-seeding belief statelessly",
-                                t, symbol)
-                    belief = belief_from_symbols(ctx, probs)
-                value, action_idx = ctx.policy.value(belief)
-                decision = Decision(action=ctx.policy.action_label(action_idx),
-                                    action_idx=action_idx, value=value, belief=belief,
-                                    symbol_probs=probs, symbol=symbol, features=feats)
-            else:
-                decision = decide_from_features(feats, ctx)
-            belief = decision.belief
-            prev_action = decision.action_idx
+            feats = epoch if epochs_are_features else extract_features(epoch).as_array()
+            decision = _decide(feats, ctx, prev)
+            if mode == "recursive":
+                prev = (decision.belief, decision.action_idx)
             rows.append({
                 "epoch": t,
                 "action": decision.action,

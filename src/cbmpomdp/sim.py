@@ -11,7 +11,8 @@ from .errors import DataError
 from .gmm import GmmConfig, fit_gmm
 from .iohmm import (Dataset, GemConfig, IohmmModel, decode_states,
                     forward_filter, gem_fit, predict_rul)
-from .pomdp import PbviConfig, Policy, PomdpModel, build_pomdp, pbvi_solve
+from .pomdp import (PM_LABEL, PbviConfig, Policy, PomdpModel, _filter, build_pomdp,
+                    pbvi_solve)
 
 log = logging.getLogger(__name__)
 
@@ -65,13 +66,7 @@ class SimReport:
 def _as_action_picker(model: PomdpModel, policy_source):
     """Normalize a policy source to (picker(belief) -> action index, needs_belief)."""
     if isinstance(policy_source, Policy):
-        alphas = policy_source.alphas
-        acts = policy_source.alpha_actions
-
-        def pick(belief):
-            return int(acts[int(np.argmax(alphas @ belief))])
-
-        return pick, True
+        return (lambda b: policy_source.value(b)[1]), True
     if isinstance(policy_source, (int, np.integer, str)):
         fixed = model.action_index(policy_source)
         return (lambda _b: fixed), False
@@ -139,15 +134,12 @@ def simulate(model: PomdpModel, policy_source, config: SimConfig) -> SimReport:
                 o = bisect_right(cum_Z[a][state], u[2 * t + 1])
                 nxt = next_belief.get((key, a, o))
                 if nxt is None:
-                    num = model.observation[a][:, o] * (belief @ model.transition[a])
-                    denom = num.sum()
-                    if denom <= 1e-300:
+                    nxt = _filter(belief, a, o, model)
+                    if nxt is None:
                         nxt = belief @ model.transition[a]
                         nxt = nxt / nxt.sum()
                         log.warning("run %d epoch %d: zero-probability symbol %d, "
                                     "using predicted belief", i, t, o)
-                    else:
-                        nxt = num / denom
                     next_belief[(key, a, o)] = nxt
                 belief = nxt
                 key = belief.tobytes()
@@ -156,7 +148,7 @@ def simulate(model: PomdpModel, policy_source, config: SimConfig) -> SimReport:
 
     n_epochs = config.n_runs * config.horizon
     counts = {model.action_labels[a]: int(action_counts[a]) for a in range(model.n_actions)}
-    pm_epochs = sum(c for lbl, c in counts.items() if lbl == "PM")
+    pm_epochs = counts.get(PM_LABEL, 0)
     return SimReport(totals=totals, discounted=discounted,
                      pm_ratio=pm_epochs / n_epochs,
                      failure_rate=failures / n_epochs,
@@ -234,6 +226,12 @@ def k_sweep(dataset: Dataset, k_values, gmm_components: int, costs, discount: fl
     return rows
 
 
+def rul_forecasts(seq, model: IohmmModel, action, horizon: int, quantiles: tuple) -> list:
+    """predict_rul at every epoch of a sequence, from its filtered beliefs."""
+    return [predict_rul(b, model, action, horizon=horizon, quantiles=quantiles)
+            for b in forward_filter(seq, model)]
+
+
 def rul_experiment(dataset: Dataset, model: IohmmModel, action,
                    horizon: int = 10000,
                    quantiles: tuple = (0.025, 0.5, 0.975)) -> dict:
@@ -251,11 +249,8 @@ def rul_experiment(dataset: Dataset, model: IohmmModel, action,
         if not seq.failed:
             log.info("sequence %d has no failure time; skipped", idx)
             continue
-        beliefs = forward_filter(seq, model)
         fail_epoch = seq.obs.shape[0] - 1
-        for t in range(seq.obs.shape[0]):
-            fc = predict_rul(beliefs[t], model, action, horizon=horizon,
-                             quantiles=quantiles)
+        for t, fc in enumerate(rul_forecasts(seq, model, action, horizon, quantiles)):
             true_rul = fail_epoch - t
             row = {"sequence": idx, "epoch": t, "true_rul": true_rul,
                    "lower": fc.lower, "median": fc.median, "upper": fc.upper,

@@ -14,7 +14,7 @@ import pytest
 
 from cbmpomdp import (GemConfig, GmmConfig, GmmModel, IohmmModel, PbviConfig,
                       PomdpModel, Sequence, aic, bearing_pomdp, fit_gmm,
-                      forward_backward, gem_fit, pbvi_solve, policy_value,
+                      forward_backward, gem_fit, pbvi_solve,
                       responsibilities, select_k, simulate, write_features_csv)
 from cbmpomdp.gmm import discretize
 from cbmpomdp.sim import SimConfig, decoded_reverse_steps, rul_experiment
@@ -93,7 +93,7 @@ def test_criterion_02_solver_matches_exact_values(criterion):
         for s in range(S):
             corner = np.zeros(S)
             corner[s] = 1.0
-            worst = max(worst, abs(policy_value(policy, corner)[0] - V[s]))
+            worst = max(worst, abs(policy.value(corner)[0] - V[s]))
     elapsed = time.perf_counter() - start
     assert worst < 1e-3, f"worst corner-value deviation {worst:.2e}"
     assert elapsed < 30.0, f"solver comparison took {elapsed:.1f}s"
@@ -159,7 +159,7 @@ def test_criterion_05_bearing_policy_structure(criterion):
                                                  max_expansions=8))
 
     def act(belief):
-        return policy.action_labels[policy_value(policy, np.asarray(belief, float))[1]]
+        return policy.action_labels[policy.value(np.asarray(belief, float))[1]]
 
     healthiest = np.zeros(6)
     healthiest[0] = 1.0

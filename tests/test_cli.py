@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from cbmpomdp import (GmmModel, IohmmModel, Policy, PomdpModel,
+from cbmpomdp import (GmmModel, IohmmModel, Policy, PomdpModel, bearing_pomdp,
                       write_features_csv)
 from cbmpomdp.bearing import write_fixture_csvs
 from synth import left_to_right_model, sample_dataset, sample_failure_dataset
@@ -280,6 +280,44 @@ def test_exit_code_numerical_error(pipeline, tmp_path):
                    "--features", row, "--out", tmp_path)
     assert proc.returncode == 3
     assert "numerical" in proc.stderr.lower()
+
+
+@pytest.fixture(scope="module")
+def mismatched(tmp_path_factory, model11):
+    """Model files that are each well formed but do not fit together, and an
+    iohmm file missing a key."""
+    root = tmp_path_factory.mktemp("mismatch")
+    pomdp = bearing_pomdp()
+    pomdp.save(root / "pomdp.json")
+    for name, width in (("policy.json", 6), ("short_policy.json", 5)):
+        Policy(alphas=np.zeros((1, width)), alpha_actions=np.array([0]),
+               action_labels=pomdp.action_labels, discount=0.95).save(root / name)
+    for name, k in (("gmm.json", 5), ("gmm1.json", 1)):
+        GmmModel(weights=np.full(k, 1.0 / k), means=np.arange(k)[:, None] * np.ones(11),
+                 covariances=np.tile(np.eye(11), (k, 1, 1))).save(root / name)
+    write_features_csv(root / "row.csv", np.zeros((1, 11)))
+    d = model11.to_dict()
+    del d["action_labels"]
+    (root / "iohmm.json").write_text(json.dumps(d))
+    return root
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--pomdp", "pomdp.json", "--policy", "short_policy.json",
+     "--horizon", 10, "--runs", 1),
+    ("decide", "--pomdp", "pomdp.json", "--policy", "short_policy.json",
+     "--gmm", "gmm.json", "--features", "row.csv"),
+    ("run-session", "--pomdp", "pomdp.json", "--policy", "policy.json",
+     "--gmm", "gmm1.json", "--data", "row.csv", "--mode", "recursive"),
+    ("build-pomdp", "--iohmm", "iohmm.json", "--capacity-rewards", 1.0, 1.2),
+], ids=["simulate-short-policy", "decide-short-policy", "session-one-symbol-gmm",
+        "iohmm-without-labels"])
+def test_exit_code_mismatched_model_files(mismatched, tmp_path, argv):
+    files = [mismatched / a if str(a).endswith((".json", ".csv")) else a for a in argv]
+    proc = run_cli(*files, "--out", tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_cli_reports_are_reproducible(pipeline, tmp_path):

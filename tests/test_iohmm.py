@@ -182,6 +182,20 @@ def test_enforce_idempotent():
     assert (np.diff(once.means[:, once.sort_key]) >= 0).all()
 
 
+def test_enforce_projection_matches_row_loop():
+    rng = np.random.default_rng(29)
+    model = random_model(rng, K=4, A=3)
+    model.means = np.arange(4.0)[:, None] * np.ones((1, model.n_features))
+    model.transitions[1, 2] = [0.5, 0.5, 0.0, 0.0]  # nothing left after projection
+    expected = np.triu(model.transitions)
+    for a in range(3):
+        for row in range(4):
+            total = expected[a, row].sum()
+            expected[a, row] = np.eye(4)[row] if total <= 0 else expected[a, row] / total
+    out = enforce_left_to_right(model)
+    np.testing.assert_array_equal(out.transitions, expected)
+
+
 def test_enforce_action_mode_sorts_by_mean_over_actions():
     transitions = np.tile(np.eye(2), (2, 1, 1))
     means = np.array([[[3.0], [0.0]], [[5.0], [0.0]]])  # state 0 larger on average

@@ -4,7 +4,7 @@ import pytest
 from cbmpomdp import (CostTable, PbviConfig, Policy, PomdpModel, backup,
                       belief_update, build_pomdp, build_pomdp_from_matrices,
                       expand, expected_reward, observation_prob, pbvi_solve,
-                      policy_value, prune_alphas)
+                      prune_alphas)
 from cbmpomdp.bearing import (CAPACITY_LABELS, CAPACITY_TRANSITIONS, COST_TABLE,
                               OBSERVATION_MATRIX, bearing_pomdp)
 from cbmpomdp.errors import DataError
@@ -186,6 +186,21 @@ def test_prune_drops_dominated_and_duplicates():
     np.testing.assert_array_equal(acts, [0, 3])  # first duplicate wins
 
 
+def test_prune_matches_pairwise_loop():
+    # the pairwise rule, one pair at a time: i falls to j when j >= i
+    # everywhere and j is strictly better somewhere or an earlier duplicate
+    rng = np.random.default_rng(5)
+    alphas = rng.integers(0, 3, size=(40, 3)).astype(float)
+    actions = np.arange(40)
+    keep = [i for i in range(40)
+            if not any(j != i and (alphas[j] >= alphas[i]).all()
+                       and ((alphas[j] > alphas[i]).any() or j < i)
+                       for j in range(40))]
+    kept, acts = prune_alphas(alphas, actions)
+    np.testing.assert_array_equal(acts, keep)
+    np.testing.assert_array_equal(kept, alphas[keep])
+
+
 def test_prune_keeps_incomparable():
     alphas = np.array([[1.0, 0.0], [0.0, 1.0]])
     actions = np.array([0, 1])
@@ -211,8 +226,8 @@ def test_expand_deterministic():
     rng = np.random.default_rng(2)
     model = random_pomdp(rng)
     b0 = [np.array([1.0, 0.0, 0.0])]
-    one = expand(b0, model, rng_seed=0)
-    two = expand(b0, model, rng_seed=0)
+    one = expand(b0, model)
+    two = expand(b0, model)
     assert len(one) == len(two)
     for u, v in zip(one, two):
         np.testing.assert_array_equal(u, v)
@@ -228,7 +243,6 @@ def test_policy_value_and_ties():
     assert (v, a) == (5.0, 0)
     v, a = pol.value(np.array([0.5, 0.5]))
     assert (v, a) == (5.0, 1)  # tie resolved to the first vector
-    assert policy_value(pol, np.array([0.0, 1.0])) == (10.0, 1)
     assert pol.action_label(1) == "PM"
 
 

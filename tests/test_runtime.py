@@ -205,6 +205,13 @@ def test_run_session_recursive_carries_belief():
     np.testing.assert_allclose(rows[2]["belief"], b2, atol=1e-12)
 
 
+def test_run_session_recursive_needs_pomdp():
+    ctx = make_window_ctx()
+    ctx.pomdp = None
+    with pytest.raises(DataError):
+        run_session([[1.0, -1.0, 1.0, -1.0]] * 2, ctx, mode="recursive")
+
+
 def test_run_session_features_input():
     ctx = make_ctx()
     rows = run_session(np.array([[0.0], [10.0]]), ctx, epochs_are_features=True)
