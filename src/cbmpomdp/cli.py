@@ -20,8 +20,8 @@ import numpy as np
 from . import bearing
 from ._json import write_json
 from .errors import DataError, NumericalError
-from .features import (read_features_csv, read_samples_csv, segment_stream,
-                       windows_to_features, write_features_csv)
+from .features import (FEATURE_NAMES, read_features_csv, read_samples_csv,
+                       segment_stream, windows_to_features, write_features_csv)
 from .gmm import GmmConfig, GmmModel, fit_gmm
 from .iohmm import Dataset, GemConfig, IohmmModel, Sequence, gem_fit, select_k
 from .pomdp import (CostTable, PbviConfig, Policy, PomdpModel, build_pomdp,
@@ -229,9 +229,10 @@ def _decision_context(args, belief_mode: str) -> DecisionContext:
     policy = Policy.load(args.policy)
     _check_policy(policy, pomdp)
     gmm = GmmModel.load(args.gmm)
-    if gmm.n_components != pomdp.n_obs:
-        raise DataError(f"gmm has {gmm.n_components} symbols for a pomdp with "
-                        f"{pomdp.n_obs}")
+    if (gmm.n_components, gmm.n_features) != (pomdp.n_obs, len(FEATURE_NAMES)):
+        raise DataError(f"gmm has {gmm.n_components} symbols over {gmm.n_features} features; "
+                        f"the pomdp has {pomdp.n_obs} symbols and the data "
+                        f"{len(FEATURE_NAMES)} feature columns")
     return DecisionContext(gmm=gmm, obs_to_state=pomdp.observation[0], policy=policy,
                            pomdp=pomdp, belief_mode=belief_mode)
 
@@ -470,7 +471,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p = add("simulate", cmd_simulate, "Monte-Carlo policy evaluation")
     p.add_argument("--pomdp", required=True)
     p.add_argument("--policy", default=None)
-    p.add_argument("--fixed-action", default=None, help="action label or index")
+    p.add_argument("--fixed-action", default=None, help="action label")
     p.add_argument("--horizon", type=int, default=10000)
     p.add_argument("--runs", type=int, default=100)
 

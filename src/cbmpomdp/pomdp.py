@@ -135,25 +135,32 @@ def observation_prob(belief: np.ndarray, action, obs: int, model: PomdpModel) ->
     return float((belief @ model.transition[a]) @ model.observation[a][:, obs])
 
 
-def _filter(belief: np.ndarray, a: int, o: int, model: PomdpModel) -> np.ndarray | None:
-    """Bayes filter step: predict through action a's transitions, weight by
-    the arrival state's likelihood of symbol o, renormalize. None when the
-    symbol has zero probability at this belief."""
-    num = model.observation[a][:, o] * (belief @ model.transition[a])
-    denom = num.sum()
-    return num / denom if denom > 1e-300 else None
+def _filter(beliefs: np.ndarray, a: np.ndarray, o: np.ndarray,
+            model: PomdpModel) -> tuple[np.ndarray, np.ndarray]:
+    """Bayes filter step for every row of an (N, S) belief stack: predict row
+    i through action a[i]'s transitions, weight by the arrival state's
+    likelihood of symbol o[i], renormalize. Returns (rows, ok); a row whose
+    symbol has zero probability comes back as the renormalized prediction,
+    with ok False."""
+    pred = np.matmul(beliefs[:, None, :], model.transition[a])[:, 0]
+    num = model.observation[a, :, o] * pred
+    denom = num.sum(axis=1)
+    ok = denom > 1e-300
+    rows = np.where(ok[:, None], num, pred)
+    return rows / np.where(ok, denom, pred.sum(axis=1))[:, None], ok
 
 
 def belief_update(belief: np.ndarray, action, obs: int, model: PomdpModel) -> np.ndarray:
     """The Bayes filter step for an action index or label; a zero-probability
     observation raises ZeroProbabilityObservation."""
     a = model.action_index(action)
-    out = _filter(belief, a, obs, model)
-    if out is None:
+    rows, ok = _filter(np.asarray(belief, dtype=float)[None], np.array([a]),
+                       np.array([obs]), model)
+    if not ok[0]:
         raise ZeroProbabilityObservation(
             f"observation {obs} has zero probability under action "
             f"{model.action_labels[a]!r} at this belief")
-    return out
+    return rows[0]
 
 
 # ---------------------------------------------------------------------------
@@ -182,10 +189,14 @@ class Policy:
     def __post_init__(self):
         self.action_labels = tuple(self.action_labels)
 
-    def value(self, belief: np.ndarray) -> tuple[float, int]:
-        scores = self.alphas @ np.asarray(belief, dtype=float)
-        best = int(np.argmax(scores))
-        return float(scores[best]), int(self.alpha_actions[best])
+    def value(self, belief: np.ndarray) -> tuple:
+        """(value, action index) at a belief, or (values (N,), action indices
+        (N,)) at each row of an (N, S) belief stack."""
+        scores = self.alphas @ np.asarray(belief, dtype=float).T
+        best = np.argmax(scores, axis=0)
+        if scores.ndim == 1:
+            return float(scores[best]), int(self.alpha_actions[best])
+        return scores.max(axis=0), self.alpha_actions[best]
 
     def action_label(self, action_idx: int) -> str:
         return self.action_labels[action_idx]
@@ -228,32 +239,40 @@ class Policy:
     load = classmethod(_json.load)
 
 
-def backup(belief: np.ndarray, alphas: np.ndarray, model: PomdpModel) -> tuple[np.ndarray, int]:
-    """One point-based Bellman backup at a belief.
+def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Dot products over the last axis, with the bits of the 1-D x @ y."""
+    return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
 
-    For each action, the best current alpha is chosen per reachable
-    observation (unreachable observations contribute zero), the discounted
-    expectations are folded back through transition and observation
-    likelihoods, and the action whose backed-up vector scores highest at
-    the belief wins. Returns (vector (S,), action index).
-    """
-    b = np.asarray(belief, dtype=float)
-    best_val, best_vec, best_a = -np.inf, None, 0
+
+def _values(alphas: np.ndarray, beliefs: np.ndarray) -> np.ndarray:
+    """max_i alphas[i] . b per belief row, with the bits of the 1-D alphas @ b."""
+    return np.matmul(alphas, beliefs[:, :, None])[..., 0].max(axis=1)
+
+
+def backup(beliefs: np.ndarray, alphas: np.ndarray, model: PomdpModel) -> tuple:
+    """One point-based Bellman backup at each row of an (N, S) belief stack
+    (Pineau, Gordon & Thrun 2003). Per action and observation, the candidate
+    continuations G = X_a diag(Z_a[:, o]) alphas^T are formed once; each
+    belief takes its best column, or none where the observation is
+    unreachable from it. The action scoring highest at the belief wins (ties
+    to the lowest index). Returns (vectors (N, S), action indices (N,)), or
+    (vector (S,), action index) for a single belief."""
+    single = np.ndim(beliefs) == 1
+    B = np.atleast_2d(np.asarray(beliefs, dtype=float))
+    vecs = np.empty((model.n_actions,) + B.shape)
     for a in range(model.n_actions):
-        X = model.transition[a]
-        Z = model.observation[a]
-        pred = b @ X
-        vec = model.reward[a].astype(float).copy()
+        X, Z = model.transition[a], model.observation[a]
+        reachable = (B @ X) @ Z > 0.0                          # (N, O)
+        vecs[a] = model.reward[a]
         if model.discount > 0.0:
             for o in range(model.n_obs):
-                if pred @ Z[:, o] <= 0.0:
-                    continue
-                G = X @ (Z[:, o][:, None] * alphas.T)   # (S, n): candidate continuations
-                vec = vec + model.discount * G[:, int(np.argmax(b @ G))]
-        val = float(vec @ b)
-        if val > best_val:
-            best_val, best_vec, best_a = val, vec, a
-    return best_vec, best_a
+                G = X @ (Z[:, o][:, None] * alphas.T)          # (S, n): candidate continuations
+                cont = G.T[np.argmax(B @ G, axis=1)]
+                vecs[a] = np.where(reachable[:, o, None], vecs[a] + model.discount * cont, vecs[a])
+    best = np.argmax(_rowdot(vecs, B), axis=0)
+    if single:
+        return vecs[best[0], 0], int(best[0])
+    return vecs[best, np.arange(B.shape[0])], best
 
 
 def prune_alphas(alphas: np.ndarray, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -270,23 +289,27 @@ def prune_alphas(alphas: np.ndarray, actions: np.ndarray) -> tuple[np.ndarray, n
     return alphas[keep], actions[keep]
 
 
-def expand(beliefs: list, model: PomdpModel) -> list:
+def expand(beliefs, model: PomdpModel) -> np.ndarray:
     """Grow the belief set: for each point, add its one-step successor that
     lies farthest (Euclidean) from everything already kept. Successors closer
     than 1e-9 are duplicates and are skipped. Deterministic: every successor
-    is enumerated, and ties go to the first in action-then-observation order."""
+    is enumerated, and ties go to the first in action-then-observation order.
+    Points are taken in order, since each is measured against the successors
+    added before it."""
+    A, O = model.n_actions, model.n_obs
+    a, o = np.repeat(np.arange(A), O), np.tile(np.arange(O), A)
     out = [np.asarray(b, dtype=float) for b in beliefs]
-    for b in beliefs:
-        successors = (_filter(b, a, o, model)
-                      for a in range(model.n_actions) for o in range(model.n_obs))
-        candidates = [c for c in successors if c is not None]
-        if not candidates:
+    for b in out[:len(beliefs)]:
+        successors, ok = _filter(np.repeat(b[None], A * O, axis=0), a, o, model)
+        candidates = successors[ok]
+        if not len(candidates):
             continue
-        dists = np.array([min(np.linalg.norm(c - kept) for kept in out) for c in candidates])
+        diff = candidates[:, None, :] - np.array(out)[None]
+        dists = np.sqrt(_rowdot(diff, diff)).min(axis=1)
         pick = int(np.argmax(dists))
         if dists[pick] > 1e-9:
             out.append(candidates[pick])
-    return out
+    return np.array(out)
 
 
 def pbvi_solve(model: PomdpModel, b0: np.ndarray | None = None,
@@ -304,7 +327,7 @@ def pbvi_solve(model: PomdpModel, b0: np.ndarray | None = None,
     if b0 is None:
         b0 = np.zeros(model.n_states)
         b0[0] = 1.0
-    beliefs = [np.asarray(b0, dtype=float)]
+    beliefs = np.asarray(b0, dtype=float)[None]
 
     floor = model.reward.min() / (1.0 - model.discount)
     alphas = np.full((1, model.n_states), floor)
@@ -314,14 +337,12 @@ def pbvi_solve(model: PomdpModel, b0: np.ndarray | None = None,
     residual = float("inf")
     for round_idx in range(config.max_expansions + 1):
         for _ in range(config.max_improve_sweeps):
-            values = np.array([np.max(alphas @ b) for b in beliefs])
-            new_vecs, new_acts = zip(*(backup(b, alphas, model) for b in beliefs))
-            alphas = np.vstack([alphas, np.array(new_vecs)])
-            actions = np.concatenate([actions, np.array(new_acts, dtype=int)])
-            alphas, actions = prune_alphas(alphas, actions)
+            values = _values(alphas, beliefs)
+            new_vecs, new_acts = backup(beliefs, alphas, model)
+            alphas, actions = prune_alphas(np.vstack([alphas, new_vecs]),
+                                           np.concatenate([actions, new_acts]))
             sweeps += 1
-            residual = float(np.max(np.abs(
-                np.array([np.max(alphas @ b) for b in beliefs]) - values)))
+            residual = float(np.max(np.abs(_values(alphas, beliefs) - values)))
             if residual < config.improve_tol:
                 break
         if round_idx < config.max_expansions:
@@ -330,7 +351,7 @@ def pbvi_solve(model: PomdpModel, b0: np.ndarray | None = None,
              alphas.shape[0], len(beliefs), sweeps, residual)
     return Policy(alphas=alphas, alpha_actions=actions,
                   action_labels=list(model.action_labels), discount=model.discount,
-                  beliefs=np.array(beliefs), iterations=sweeps, residual=residual)
+                  beliefs=beliefs, iterations=sweeps, residual=residual)
 
 
 # ---------------------------------------------------------------------------

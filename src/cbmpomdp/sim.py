@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import logging
-from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -63,97 +62,73 @@ class SimReport:
         }
 
 
+#: epochs of uniforms drawn per run at a time, so memory does not grow with the horizon
+_CHUNK = 1024
+
+
 def _as_action_picker(model: PomdpModel, policy_source):
-    """Normalize a policy source to (picker(belief) -> action index, needs_belief)."""
+    """Normalize a policy source to picker(beliefs (N, S)) -> action indices
+    (N,), or to a fixed action index when the source needs no belief."""
     if isinstance(policy_source, Policy):
-        return (lambda b: policy_source.value(b)[1]), True
+        return lambda B: policy_source.value(B)[1]
     if isinstance(policy_source, (int, np.integer, str)):
-        fixed = model.action_index(policy_source)
-        return (lambda _b: fixed), False
+        return model.action_index(policy_source)
     if callable(policy_source):
-        return (lambda b: model.action_index(policy_source(b))), True
+        return lambda B: np.array([model.action_index(policy_source(b)) for b in B])
     raise DataError(f"unsupported policy source {type(policy_source).__name__}")
 
 
 def simulate(model: PomdpModel, policy_source, config: SimConfig) -> SimReport:
     """Roll out trajectories of the true state chain under a policy.
 
-    Run i draws from a generator seeded with seed XOR i, so per-run streams
-    are reproducible and shared across policy variants. Each epoch accrues
+    All runs advance in lockstep on an (n_runs, S) belief array. Run i draws
+    from a generator seeded with seed XOR i, so per-run streams are
+    reproducible and shared across policy variants. Each epoch accrues
     reward r(state, action); hitting the failure state costs one epoch there
     before the built-in corrective reset row takes effect. Reported totals
     are undiscounted; a discounted accumulation is kept alongside.
     """
     model.validate()
-    pick, needs_belief = _as_action_picker(model, policy_source)
-    S = model.n_states
-    failure_state = S - 1
-    gamma = model.discount
-    cum_X = [[list(np.cumsum(model.transition[a][s])) for s in range(S)]
-             for a in range(model.n_actions)]
-    cum_Z = [[list(np.cumsum(model.observation[a][s])) for s in range(S)]
-             for a in range(model.n_actions)]
-    reward = [[float(v) for v in row] for row in model.reward]
-
-    totals = np.empty(config.n_runs)
-    discounted = np.empty(config.n_runs)
+    if config.horizon < 1 or config.n_runs < 1:
+        raise DataError(f"horizon and n_runs must be at least 1, got "
+                        f"{config.horizon} and {config.n_runs}")
+    pick = _as_action_picker(model, policy_source)
+    fixed = not callable(pick)
+    n, S = config.n_runs, model.n_states
+    cum_X, cum_Z = np.cumsum(model.transition, axis=2), np.cumsum(model.observation, axis=2)
+    rngs = [np.random.default_rng(config.seed ^ i) for i in range(n)]
+    state = np.zeros(n, dtype=int)
+    beliefs = np.tile(np.eye(S)[0], (n, 1))
+    a = np.full(n, pick) if fixed else None
+    totals, discounted = np.zeros(n), np.zeros(n)
     action_counts = np.zeros(model.n_actions, dtype=np.int64)
-    failures = 0
+    failures, g = 0, 1.0
+    for t in range(config.horizon):
+        k = t % _CHUNK
+        if k == 0:
+            u = np.stack([r.random(2 * min(_CHUNK, config.horizon - t)) for r in rngs])
+        if not fixed:
+            a = pick(beliefs)
+        action_counts += np.bincount(a, minlength=model.n_actions)
+        earned = model.reward[a, state]
+        totals += earned
+        discounted += g * earned
+        g *= model.discount
+        failures += int(np.count_nonzero(state == S - 1))
+        state = (cum_X[a, state] <= u[:, 2 * k, None]).sum(axis=1)
+        if not fixed:
+            o = (cum_Z[a, state] <= u[:, 2 * k + 1, None]).sum(axis=1)
+            beliefs, ok = _filter(beliefs, a, o, model)
+            for i in np.flatnonzero(~ok):
+                log.warning("run %d epoch %d: zero-probability symbol %d, "
+                            "using predicted belief", i, t, o[i])
 
-    # Belief transitions are deterministic given (belief, action, symbol), so
-    # repeated visits are served from a memo keyed on exact belief bytes.
-    next_belief: dict = {}
-    chosen: dict = {}
-
-    for i in range(config.n_runs):
-        rng = np.random.default_rng(config.seed ^ i)
-        u = rng.random(2 * config.horizon)
-        state = 0
-        total = 0.0
-        disc = 0.0
-        g = 1.0
-        belief = np.zeros(S)
-        belief[0] = 1.0
-        key = belief.tobytes()
-        for t in range(config.horizon):
-            if needs_belief:
-                a = chosen.get(key)
-                if a is None:
-                    a = pick(belief)
-                    chosen[key] = a
-            else:
-                a = pick(None)
-            action_counts[a] += 1
-            total += reward[a][state]
-            disc += g * reward[a][state]
-            g *= gamma
-            if state == failure_state:
-                failures += 1
-            state = bisect_right(cum_X[a][state], u[2 * t])
-            if needs_belief:
-                o = bisect_right(cum_Z[a][state], u[2 * t + 1])
-                nxt = next_belief.get((key, a, o))
-                if nxt is None:
-                    nxt = _filter(belief, a, o, model)
-                    if nxt is None:
-                        nxt = belief @ model.transition[a]
-                        nxt = nxt / nxt.sum()
-                        log.warning("run %d epoch %d: zero-probability symbol %d, "
-                                    "using predicted belief", i, t, o)
-                    next_belief[(key, a, o)] = nxt
-                belief = nxt
-                key = belief.tobytes()
-        totals[i] = total
-        discounted[i] = disc
-
-    n_epochs = config.n_runs * config.horizon
-    counts = {model.action_labels[a]: int(action_counts[a]) for a in range(model.n_actions)}
-    pm_epochs = counts.get(PM_LABEL, 0)
+    n_epochs = n * config.horizon
+    counts = dict(zip(model.action_labels, action_counts.tolist()))
     return SimReport(totals=totals, discounted=discounted,
-                     pm_ratio=pm_epochs / n_epochs,
-                     failure_rate=failures / n_epochs,
-                     action_counts=counts,
-                     horizon=config.horizon, n_runs=config.n_runs, seed=config.seed)
+                     pm_ratio=counts.get(PM_LABEL, 0) / n_epochs,
+                     failure_rate=failures / n_epochs, action_counts=counts,
+                     horizon=config.horizon, n_runs=n, seed=config.seed)
 
 
 def transition_diagnostics(model_or_transitions) -> dict:

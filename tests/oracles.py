@@ -1,12 +1,14 @@
 """Independent reference implementations used to pin test expectations.
 
-Deliberately naive: hidden-path enumeration for posterior quantities and
-dense value iteration for fully observable planning. Nothing here shares
-code with the package under test beyond the data containers.
+Deliberately naive: hidden-path enumeration for posterior quantities,
+dense value iteration for fully observable planning, and a simulator that
+steps one run and one epoch at a time. Nothing here shares code with the
+package under test beyond the data containers.
 """
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 
 import numpy as np
 from scipy.stats import multivariate_normal
@@ -70,3 +72,51 @@ def exact_belief_update(belief, X_a, Z_a, obs):
     predicted = np.asarray(belief, dtype=float) @ np.asarray(X_a, dtype=float)
     unnorm = predicted * np.asarray(Z_a, dtype=float)[:, obs]
     return unnorm / unnorm.sum()
+
+
+def per_run_simulate(model, policy_source, horizon, n_runs, seed):
+    """Monte-Carlo rollouts one run and one epoch at a time.
+
+    The same sampling contract as the package's simulator: run i draws
+    2 * horizon uniforms from default_rng(seed ^ i); epoch t samples the next
+    state with u[2t] and the symbol with u[2t + 1] by inverse CDF, and a
+    zero-probability symbol leaves the belief at its renormalized
+    prediction. policy_source is a Policy (greedy on its alphas), an action
+    label, or a callable from belief to action label. Returns (totals,
+    discounted, action counts, failure epochs).
+    """
+    A, S = model.n_actions, model.n_states
+    labels = list(model.action_labels)
+    cum_X = [[list(np.cumsum(model.transition[a][s])) for s in range(S)] for a in range(A)]
+    cum_Z = [[list(np.cumsum(model.observation[a][s])) for s in range(S)] for a in range(A)]
+    reward = [[float(v) for v in row] for row in model.reward]
+
+    def pick(belief):
+        if isinstance(policy_source, str):
+            return labels.index(policy_source)
+        if hasattr(policy_source, "alphas"):
+            return int(policy_source.alpha_actions[np.argmax(policy_source.alphas @ belief)])
+        return labels.index(policy_source(belief))
+
+    totals, discounted = np.empty(n_runs), np.empty(n_runs)
+    counts = np.zeros(A, dtype=int)
+    failures = 0
+    for i in range(n_runs):
+        u = np.random.default_rng(seed ^ i).random(2 * horizon)
+        state, total, disc, g = 0, 0.0, 0.0, 1.0
+        belief = np.eye(S)[0]
+        for t in range(horizon):
+            a = pick(belief)
+            counts[a] += 1
+            total += reward[a][state]
+            disc += g * reward[a][state]
+            g *= model.discount
+            failures += state == S - 1
+            state = bisect_right(cum_X[a][state], u[2 * t])
+            o = bisect_right(cum_Z[a][state], u[2 * t + 1])
+            predicted = belief @ model.transition[a]
+            unnorm = predicted * model.observation[a][:, o]
+            belief = (unnorm / unnorm.sum() if unnorm.sum() > 1e-300
+                      else predicted / predicted.sum())
+        totals[i], discounted[i] = total, disc
+    return totals, discounted, counts, failures

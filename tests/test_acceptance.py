@@ -15,9 +15,10 @@ import pytest
 from cbmpomdp import (GemConfig, GmmConfig, GmmModel, IohmmModel, PbviConfig,
                       PomdpModel, Sequence, aic, bearing_pomdp, fit_gmm,
                       forward_backward, gem_fit, pbvi_solve,
-                      responsibilities, select_k, simulate, write_features_csv)
+                      responsibilities, select_k, simulate)
 from cbmpomdp.gmm import discretize
 from cbmpomdp.sim import SimConfig, decoded_reverse_steps, rul_experiment
+from cli_cases import commands, setup_commands, write_inputs
 from oracles import enumerate_posteriors, mdp_value_iteration
 from synth import (deterministic_chain_model, left_to_right_model,
                    sample_dataset, sample_failure_dataset)
@@ -301,82 +302,12 @@ def _compare_dirs(d1, d2):
 
 def test_criterion_10_reports_are_reproducible(criterion, tmp_path):
     criterion(10, "same seed, same bytes for every command's reports")
-    rng = np.random.default_rng(0)
-    samples = tmp_path / "samples.csv"
-    samples.write_text("sample\n" + "\n".join(
-        repr(float(v)) for v in rng.normal(size=256)) + "\n")
-
-    truth = left_to_right_model(n_states=2, n_actions=2, n_features=11,
-                                separation=6.0, stay=(0.8, 0.6))
-    data = sample_dataset(truth, n_seqs=6, T=10, seed=0)
-    feats, units, acts = [], [], []
-    for i, seq in enumerate(data.sequences):
-        for t in range(seq.obs.shape[0]):
-            feats.append(seq.obs[t])
-            units.append(f"u{i}")
-            acts.append(data.action_labels[seq.actions[t]])
-    dataset_csv = tmp_path / "dataset.csv"
-    write_features_csv(dataset_csv, np.vstack(feats),
-                       extra={"unit": units, "action": acts})
-
-    rul_truth = left_to_right_model(n_states=3, n_actions=1, n_features=11,
-                                    separation=6.0, stay=(0.6,))
-    rul_truth.save(tmp_path / "rul_model.json")
-    fail_data = sample_failure_dataset(rul_truth, n_seqs=6, seed=0, max_T=60,
-                                       min_T=2)
-    feats, units, acts, fails = [], [], [], []
-    for i, seq in enumerate(fail_data.sequences):
-        for t in range(seq.obs.shape[0]):
-            feats.append(seq.obs[t])
-            units.append(f"u{i}")
-            acts.append(fail_data.action_labels[seq.actions[t]])
-            fails.append("1" if seq.failed else "0")
-    fail_csv = tmp_path / "failures.csv"
-    write_features_csv(fail_csv, np.vstack(feats),
-                       extra={"unit": units, "action": acts, "failed": fails})
-
-    epoch_csv = tmp_path / "epochs.csv"
-    write_features_csv(epoch_csv, data.sequences[0].obs)
-    row_csv = tmp_path / "row.csv"
-    write_features_csv(row_csv, truth.means[1][None, :])
-
+    inputs = write_inputs(tmp_path)
     setup = tmp_path / "setup"
-    _run_cli("train", "--data", dataset_csv, "--states", 2, "--max-iters", 20,
-             "--out", setup)
-    _run_cli("fit-gmm", "--data", dataset_csv, "--components", 2, "--out", setup)
-    _run_cli("solve", "--iohmm", setup / "iohmm.json", "--gmm", setup / "gmm.json",
-             "--capacity-rewards", 1.0, 1.2, "--gamma", 0.9,
-             "--max-expansions", 3, "--out", setup)
+    for argv in setup_commands(inputs, setup):
+        _run_cli(*argv, "--out", setup)
 
-    commands = {
-        "features": ("features", "--samples", samples, "--window", 16),
-        "train": ("train", "--data", dataset_csv, "--states", 2,
-                  "--max-iters", 20),
-        "select-k": ("select-k", "--data", dataset_csv, "--k-min", 2,
-                     "--k-max", 3, "--max-iters", 10, "--no-train-sec"),
-        "fit-gmm": ("fit-gmm", "--data", dataset_csv, "--components", 2),
-        "build-pomdp": ("build-pomdp", "--fixture", "bearing"),
-        "solve": ("solve", "--fixture", "bearing", "--improve-tol", "1e-3",
-                  "--max-expansions", 2),
-        "decide": ("decide", "--pomdp", setup / "pomdp.json", "--policy",
-                   setup / "policy.json", "--gmm", setup / "gmm.json",
-                   "--features", row_csv),
-        "run-session": ("run-session", "--pomdp", setup / "pomdp.json",
-                        "--policy", setup / "policy.json", "--gmm",
-                        setup / "gmm.json", "--data", epoch_csv,
-                        "--mode", "recursive"),
-        "simulate": ("simulate", "--pomdp", setup / "pomdp.json", "--policy",
-                     setup / "policy.json", "--horizon", 200, "--runs", 3),
-        "k-sweep": ("k-sweep", "--data", dataset_csv, "--k-min", 2,
-                    "--k-max", 2, "--components", 2, "--capacity-rewards",
-                    1.0, 1.2, "--gamma", 0.9, "--horizon", 100, "--runs", 2,
-                    "--max-iters", 10, "--max-expansions", 2),
-        "compare-classical": ("compare-classical", "--data", dataset_csv,
-                              "--states", 2, "--max-iters", 10),
-        "rul": ("rul", "--iohmm", tmp_path / "rul_model.json", "--data",
-                fail_csv, "--action", "a0", "--horizon", 200),
-    }
-    for name, argv in commands.items():
+    for name, argv in commands(inputs, setup).items():
         out1 = tmp_path / name / "one"
         out2 = tmp_path / name / "two"
         for out in (out1, out2):

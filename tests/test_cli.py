@@ -292,9 +292,9 @@ def mismatched(tmp_path_factory, model11):
     for name, width in (("policy.json", 6), ("short_policy.json", 5)):
         Policy(alphas=np.zeros((1, width)), alpha_actions=np.array([0]),
                action_labels=pomdp.action_labels, discount=0.95).save(root / name)
-    for name, k in (("gmm.json", 5), ("gmm1.json", 1)):
-        GmmModel(weights=np.full(k, 1.0 / k), means=np.arange(k)[:, None] * np.ones(11),
-                 covariances=np.tile(np.eye(11), (k, 1, 1))).save(root / name)
+    for name, k, d in (("gmm.json", 5, 11), ("gmm1.json", 1, 11), ("gmm_d1.json", 5, 1)):
+        GmmModel(weights=np.full(k, 1.0 / k), means=np.arange(k)[:, None] * np.ones(d),
+                 covariances=np.tile(np.eye(d), (k, 1, 1))).save(root / name)
     write_features_csv(root / "row.csv", np.zeros((1, 11)))
     d = model11.to_dict()
     del d["action_labels"]
@@ -310,8 +310,17 @@ def mismatched(tmp_path_factory, model11):
     ("run-session", "--pomdp", "pomdp.json", "--policy", "policy.json",
      "--gmm", "gmm1.json", "--data", "row.csv", "--mode", "recursive"),
     ("build-pomdp", "--iohmm", "iohmm.json", "--capacity-rewards", 1.0, 1.2),
+    ("decide", "--pomdp", "pomdp.json", "--policy", "policy.json",
+     "--gmm", "gmm_d1.json", "--features", "row.csv"),
+    ("run-session", "--pomdp", "pomdp.json", "--policy", "policy.json",
+     "--gmm", "gmm_d1.json", "--data", "row.csv", "--mode", "recursive"),
+    ("simulate", "--pomdp", "pomdp.json", "--fixed-action", "C=1.2",
+     "--horizon", 0, "--runs", 1),
+    ("simulate", "--pomdp", "pomdp.json", "--fixed-action", "C=1.2",
+     "--horizon", 10, "--runs", 0),
 ], ids=["simulate-short-policy", "decide-short-policy", "session-one-symbol-gmm",
-        "iohmm-without-labels"])
+        "iohmm-without-labels", "decide-one-feature-gmm", "session-one-feature-gmm",
+        "simulate-zero-horizon", "simulate-zero-runs"])
 def test_exit_code_mismatched_model_files(mismatched, tmp_path, argv):
     files = [mismatched / a if str(a).endswith((".json", ".csv")) else a for a in argv]
     proc = run_cli(*files, "--out", tmp_path)

@@ -8,7 +8,7 @@ from cbmpomdp import (CostTable, PbviConfig, Policy, PomdpModel, backup,
 from cbmpomdp.bearing import (CAPACITY_LABELS, CAPACITY_TRANSITIONS, COST_TABLE,
                               OBSERVATION_MATRIX, bearing_pomdp)
 from cbmpomdp.errors import DataError
-from cbmpomdp.pomdp import ZeroProbabilityObservation
+from cbmpomdp.pomdp import ZeroProbabilityObservation, _filter
 from oracles import exact_belief_update, mdp_value_iteration
 from synth import left_to_right_model
 
@@ -69,6 +69,20 @@ def test_belief_update_zero_probability_raises():
                        reward=R, discount=0.9)
     with pytest.raises(ZeroProbabilityObservation):
         belief_update(np.array([1.0, 0.0]), 0, 1, model)
+
+
+def test_filter_stack_falls_back_to_prediction_per_row():
+    # symbol 1 is impossible from state 0; row 0 predicts onto state 0 alone
+    X = np.array([[[0.5, 0.5], [0.0, 1.0]], [[1.0, 0.0], [1.0, 0.0]]])
+    Z = np.tile(np.array([[1.0, 0.0], [0.3, 0.7]]), (2, 1, 1))
+    model = PomdpModel(action_labels=("a", "b"), transition=X, observation=Z,
+                       reward=np.zeros((2, 2)), discount=0.9).validate()
+    beliefs = np.array([[0.5, 0.0], [0.5, 0.5], [0.2, 0.8]])
+    rows, ok = _filter(beliefs, np.array([1, 0, 1]), np.array([1, 1, 0]), model)
+    np.testing.assert_array_equal(ok, [False, True, True])
+    np.testing.assert_array_equal(rows[0], [1.0, 0.0])  # the renormalized prediction
+    for i, (a, o) in enumerate(((0, 1), (1, 0)), start=1):
+        np.testing.assert_array_equal(rows[i], belief_update(beliefs[i], a, o, model))
 
 
 def test_belief_update_accepts_action_labels():
@@ -176,6 +190,39 @@ def test_backup_single_alpha_hand_math():
             best_val, best_vec, best_act = val, manual, a
     assert act == best_act
     np.testing.assert_allclose(vec, best_vec, atol=1e-12)
+
+
+def test_backup_batch_matches_hand_math_per_row():
+    # several beliefs and alphas; upper-triangular transitions with identity
+    # observations leave some symbols unreachable from some beliefs
+    rng = np.random.default_rng(3)
+    base = random_pomdp(rng, S=4, A=3, O=4, identity_obs=True)
+    X = np.triu(base.transition)
+    X /= X.sum(axis=2, keepdims=True)
+    model = PomdpModel(action_labels=base.action_labels, transition=X,
+                       observation=base.observation, reward=base.reward,
+                       discount=0.8).validate()
+    alphas = rng.normal(scale=5.0, size=(6, 4))
+    beliefs = np.vstack([np.eye(4), rng.dirichlet(np.full(4, 0.5), size=8)])
+    vecs, acts = backup(beliefs, alphas, model)
+    for b, vec, act in zip(beliefs, vecs, acts):
+        best_val = -np.inf
+        for a in range(3):
+            X_a, Z_a = model.transition[a], model.observation[a]
+            manual = model.reward[a].astype(float).copy()
+            for o in range(4):
+                if (b @ X_a) @ Z_a[:, o] <= 0.0:
+                    continue
+                G = X_a @ (Z_a[:, o][:, None] * alphas.T)
+                manual += 0.8 * G[:, np.argmax(b @ G)]
+            val = manual @ b
+            if val > best_val:
+                best_val, best_vec, best_act = val, manual, a
+        assert act == best_act
+        np.testing.assert_allclose(vec, best_vec, atol=1e-12)
+        one_vec, one_act = backup(b, alphas, model)
+        assert one_act == act
+        np.testing.assert_array_equal(one_vec, vec)
 
 
 def test_prune_drops_dominated_and_duplicates():

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from cbmpomdp import (GemConfig, PomdpModel, SimConfig, compare_classical,
-                      decoded_reverse_steps, forward_filter, gem_fit,
+from cbmpomdp import (GemConfig, PbviConfig, PomdpModel, SimConfig, compare_classical,
+                      decoded_reverse_steps, forward_filter, gem_fit, pbvi_solve,
                       rul_experiment, simulate, transition_diagnostics)
-from cbmpomdp.bearing import bearing_pomdp
+from cbmpomdp.bearing import CAPACITY_LABELS, bearing_pomdp
 from cbmpomdp.errors import DataError
+from cbmpomdp.sim import _CHUNK
+from oracles import per_run_simulate
 from synth import (deterministic_chain_model, left_to_right_model,
                    sample_dataset, sample_failure_dataset)
 
@@ -83,6 +85,50 @@ def test_policy_callable_source():
     model = cycle_pomdp()
     rep = simulate(model, lambda belief: 0, SimConfig(horizon=4, n_runs=1, seed=0))
     assert rep.totals[0] == -4.0
+
+
+@pytest.fixture(scope="module")
+def bearing_policy():
+    return pbvi_solve(bearing_pomdp(), config=PbviConfig(improve_tol=1e-4,
+                                                         max_expansions=5))
+
+
+@pytest.mark.parametrize("source", ["policy", "fixed", "callable"])
+def test_lockstep_matches_per_run_reference(bearing_policy, source):
+    # horizon 2500 spans three chunks of uniforms, the last one partial
+    horizon, n_runs, seed = 2500, 7, 5
+    assert _CHUNK < horizon and horizon % _CHUNK
+    model = bearing_pomdp()
+    policy_source = {"policy": bearing_policy, "fixed": "C=1.3",
+                     "callable": lambda b: "PM" if b[3:].sum() > 0.6 else "C=1.2"}[source]
+    rep = simulate(model, policy_source, SimConfig(horizon=horizon, n_runs=n_runs, seed=seed))
+    totals, discounted, counts, failures = per_run_simulate(model, policy_source,
+                                                            horizon, n_runs, seed)
+    np.testing.assert_array_equal(rep.totals, totals)
+    np.testing.assert_array_equal(rep.discounted, discounted)
+    assert rep.action_counts == dict(zip(model.action_labels, counts.tolist()))
+    assert rep.failure_rate == failures / (horizon * n_runs)
+
+
+@pytest.mark.parametrize("label", CAPACITY_LABELS)
+def test_fixed_action_means_match_exact_expectation(label):
+    # the state distribution propagated through the action's chain gives the
+    # exact expected H-epoch total and discounted sum from state 0
+    model = bearing_pomdp()
+    cfg = SimConfig(horizon=2000, n_runs=50, seed=11)
+    rep = simulate(model, label, cfg)
+    a = model.action_index(label)
+    dist = np.eye(model.n_states)[0]
+    total = discounted = 0.0
+    for t in range(cfg.horizon):
+        total += dist @ model.reward[a]
+        discounted += model.discount ** t * (dist @ model.reward[a])
+        dist = dist @ model.transition[a]
+    se_total = rep.std / np.sqrt(cfg.n_runs)
+    se_disc = rep.discounted.std(ddof=1) / np.sqrt(cfg.n_runs)
+    assert abs(rep.mean - total) < 5 * se_total, (rep.mean, total, se_total)
+    assert abs(rep.discounted_mean - discounted) < 5 * se_disc, \
+        (rep.discounted_mean, discounted, se_disc)
 
 
 def test_report_dict_is_json_ready():
