@@ -267,6 +267,8 @@ def cmd_run_session(args, out: Path) -> None:
     else:
         if not args.samples:
             raise DataError("either --data or --samples is required")
+        if args.window is None:
+            raise DataError("--window is required with --samples")
         stream = read_samples_csv(args.samples)
         windows = segment_stream(stream, args.window, args.hop)
         rows = run_session(windows, ctx, mode=args.mode)
@@ -531,6 +533,10 @@ def main(argv=None) -> int:
                 overrides = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             print(f"error: cannot read config {config_path}: {exc}", file=sys.stderr)
+            return 2
+        if not isinstance(overrides, dict):
+            print(f"error: config {config_path} must hold a JSON object of option defaults",
+                  file=sys.stderr)
             return 2
         defaults = {k.replace("-", "_"): v for k, v in overrides.items()}
     parser = build_parser(defaults)

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import _json
 from ._cluster import TooFewObservations, cluster_covariances, kmeans
 from .errors import DataError, NumericalError
-from .gmm import gaussian_logpdf, weighted_gaussians
+from .gmm import Gaussians, _component_logdensities, factor_gaussians, weighted_gaussians
 
 log = logging.getLogger(__name__)
 
@@ -103,6 +103,7 @@ class IohmmModel:
     initial: np.ndarray
     emission_mode: str = "shared"
     sort_key: int = 0
+    _gaussians: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.action_labels = tuple(self.action_labels)
@@ -123,6 +124,18 @@ class IohmmModel:
         if self.emission_mode == "shared":
             return self.means, self.covariances
         return self.means[action], self.covariances[action]
+
+    def emission_gaussians(self, action: int) -> Gaussians:
+        """emission_params(action) factored, once per parameter set: the
+        factors are rebuilt when means or covariances is rebound (not when
+        either is written in place)."""
+        cached = self._gaussians
+        if cached is None or cached[0] is not self.means or cached[1] is not self.covariances:
+            cached = self._gaussians = (self.means, self.covariances, {})
+        key = -1 if self.emission_mode == "shared" else action
+        if key not in cached[2]:
+            cached[2][key] = factor_gaussians(*self.emission_params(action))
+        return cached[2][key]
 
     def to_dict(self) -> dict:
         return {
@@ -174,20 +187,13 @@ class GemConfig:
 
 
 def _log_emission_matrix(seq: Sequence, model: IohmmModel) -> np.ndarray:
-    K = model.n_states
-    T = seq.obs.shape[0]
-    logb = np.empty((T, K))
     if model.emission_mode == "shared":
-        for k in range(K):
-            logb[:, k] = gaussian_logpdf(seq.obs, model.means[k], model.covariances[k])
-    else:
-        for a in range(model.n_actions):
-            rows = seq.actions == a
-            if not rows.any():
-                continue
-            for k in range(K):
-                logb[rows, k] = gaussian_logpdf(seq.obs[rows],
-                                                model.means[a, k], model.covariances[a, k])
+        return _component_logdensities(model.emission_gaussians(0), seq.obs)
+    logb = np.empty((seq.obs.shape[0], model.n_states))
+    for a in range(model.n_actions):
+        rows = seq.actions == a
+        if rows.any():
+            logb[rows] = _component_logdensities(model.emission_gaussians(a), seq.obs[rows])
     return logb
 
 
@@ -274,6 +280,8 @@ def init_kmeans(dataset: Dataset, config: GemConfig) -> IohmmModel:
     """
     dataset.validate()
     K, A = config.n_states, dataset.n_actions
+    if K < 1:
+        raise DataError(f"need at least one state, got {K}")
     X = dataset.pooled_obs()
     d = X.shape[1]
     rng = np.random.default_rng(config.seed)
@@ -438,6 +446,8 @@ def select_k(dataset: Dataset, k_values, config: GemConfig) -> SelectionReport:
     n_obs = sum(s.obs.shape[0] for s in dataset.sequences)
     d = dataset.pooled_obs().shape[1]
     rows = []
+    if not k_values:
+        raise DataError("no candidate state counts to score")
     for K in k_values:
         cfg = replace(config, n_states=K)
         start = time.perf_counter()
@@ -525,14 +535,10 @@ def sample_sequence(model: IohmmModel, actions,
     """Draw one trajectory and its observations under a fixed action plan."""
     actions = np.asarray(actions, dtype=int)
     K = model.n_states
-    chols = {}
 
     def emit(state: int, action: int) -> np.ndarray:
-        means, covs = model.emission_params(action)
-        key = (action if model.emission_mode == "action" else -1, state)
-        if key not in chols:
-            chols[key] = np.linalg.cholesky(covs[state])
-        return means[state] + chols[key] @ rng.standard_normal(model.n_features)
+        g = model.emission_gaussians(action)
+        return g.means[state] + g.chols[state] @ rng.standard_normal(model.n_features)
 
     state = int(rng.choice(K, p=model.initial))
     states = [state]

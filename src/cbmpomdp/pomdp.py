@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _json
 from .errors import DataError, NumericalError
-from .gmm import GmmModel, responsibilities
+from .gmm import GmmModel, factor_gaussians, responsibilities
 
 log = logging.getLogger(__name__)
 
@@ -421,10 +421,10 @@ def estimate_observation_rows(means, covariances, gmm: GmmModel,
     responsibilities over fixed-seed draws from each state's emission."""
     rng = np.random.default_rng(seed)
     K = means.shape[0]
+    chols = factor_gaussians(means, covariances).chols
     rows = np.empty((K, gmm.n_components))
     for k in range(K):
-        chol = np.linalg.cholesky(covariances[k])
-        draws = means[k] + rng.standard_normal((n_samples, means.shape[1])) @ chol.T
+        draws = means[k] + rng.standard_normal((n_samples, means.shape[1])) @ chols[k].T
         rows[k] = responsibilities(gmm, draws).mean(axis=0)
     return rows / rows.sum(axis=1, keepdims=True)
 

@@ -11,12 +11,19 @@ criterion 10's commands and set-up (tests/cli_cases.py) plus the full
 bearing solve, bearing simulations at 100 runs x 10,000 epochs, and
 recursive sessions. Cases marked "change only" are inputs this checkout
 rejects on purpose: they run here alone and must exit 2. Prints one table
-and exits 1 on any difference.
+and exits 1 on any difference. For every JSON, JSONL or CSV output that
+differs it also prints the drift: the largest absolute and relative change
+of any float, and each other field (integer, string, flag, shape) that
+changed.
 """
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
+import json
+import math
 import os
 import subprocess
 import sys
@@ -53,6 +60,18 @@ def cases(inputs: dict, side: Path) -> list:
     out += [(f"bearing-simulate-{c}", side / f"bearing-simulate-{c}",
              ("simulate", "--pomdp", bearing / "pomdp.json", "--fixed-action", c, *sim), False)
             for c in ("C=1.2", "C=1.3", "C=1.5")]
+    decide = ("decide", "--pomdp", setup / "pomdp.json", "--policy", setup / "policy.json")
+    out += [(name, side / name, argv, False) for name, argv in (
+        ("fit-gmm-diag", ("fit-gmm", "--data", inputs["dataset"], "--components", 2,
+                          "--covariance", "diag")),
+        ("fit-gmm-5", ("fit-gmm", "--data", inputs["dataset"], "--components", 5)),
+        ("train-action-emissions", ("train", "--data", inputs["dataset"], "--states", 2,
+                                    "--max-iters", 20, "--emission-mode", "action")),
+        ("decide-bayes", (*decide, "--gmm", setup / "gmm.json", "--features",
+                          inputs["row"], "--mode", "bayes")),
+        ("decide-samples", (*decide, "--gmm", setup / "gmm.json", "--samples",
+                            inputs["samples"])),
+    )]
     out += [
         ("run-session-samples-bayes", side / "run-session-samples-bayes",
          ("run-session", *session, "--gmm", setup / "gmm.json", "--samples",
@@ -70,7 +89,36 @@ def cases(inputs: dict, side: Path) -> list:
          ("run-session", *session, "--gmm", inputs["gmm_d1"], "--data", inputs["epochs"]),
          True),
     ]
+    out += [(name, side / name, argv, True) for name, argv in (
+        ("reject-decide-weights-sum-2.5", (*decide, "--gmm", inputs["gmm_heavy"],
+                                           "--features", inputs["row"])),
+        ("reject-decide-negative-weight", (*decide, "--gmm", inputs["gmm_negative"],
+                                           "--features", inputs["row"])),
+        ("reject-fit-gmm-zero-components", ("fit-gmm", "--data", inputs["dataset"],
+                                            "--components", 0)),
+        ("reject-config-list", ("--config", inputs["config_list"], "build-pomdp",
+                                "--fixture", "bearing")),
+        ("reject-session-samples-no-window", ("run-session", *session, "--gmm",
+                                              setup / "gmm.json", "--samples",
+                                              inputs["samples"])),
+        ("reject-train-zero-states", ("train", "--data", inputs["dataset"], "--states", 0)),
+        ("reject-select-k-zero-min", ("select-k", "--data", inputs["dataset"],
+                                      "--k-min", 0, "--k-max", 2)),
+    )]
     return out
+
+
+def write_reject_inputs(root: Path) -> dict:
+    """Inputs only the change-only cases read."""
+    paths = {name: root / f"{name}.json"
+             for name in ("gmm_d1", "gmm_heavy", "gmm_negative", "config_list")}
+    GmmModel(weights=np.full(2, 0.5), means=np.array([[0.0], [1.0]]),
+             covariances=np.ones((2, 1, 1))).save(paths["gmm_d1"])
+    for name, weights in (("gmm_heavy", np.full(2, 1.25)), ("gmm_negative", [-0.5, 1.5])):
+        GmmModel(weights=np.asarray(weights), means=np.zeros((2, 11)) + [[0.0], [1.0]],
+                 covariances=np.tile(np.eye(11), (2, 1, 1))).save(paths[name])
+    paths["config_list"].write_text("[1, 2]\n")
+    return paths
 
 
 def run_side(src: Path, inputs: dict, side: Path, change: bool) -> dict:
@@ -105,13 +153,71 @@ def main(argv=None) -> int:
         work = Path(args.work or tmp).resolve()
         (work / "inputs").mkdir(parents=True)
         inputs = write_inputs(work / "inputs")
-        inputs["gmm_d1"] = work / "inputs" / "gmm_d1.json"
-        GmmModel(weights=np.full(2, 0.5), means=np.array([[0.0], [1.0]]),
-                 covariances=np.ones((2, 1, 1))).save(inputs["gmm_d1"])
+        inputs.update(write_reject_inputs(work / "inputs"))
         base = run_side(baseline, inputs, work / "baseline", change=False)
         new = run_side(SRC, inputs, work / "change", change=True)
         base_files, new_files = digests(work / "baseline"), digests(work / "change")
         return report(inputs, work, base, new, base_files, new_files)
+
+
+def _cell(text: str):
+    for cast in (int, float):
+        try:
+            return cast(text)
+        except ValueError:
+            pass
+    return text
+
+
+def read_values(path: Path):
+    """A JSON, JSONL or CSV output as Python values (CSV cells parsed as
+    int, then float, else kept as text); None for any other file."""
+    text = path.read_text()
+    if path.suffix == ".json":
+        return json.loads(text)
+    if path.suffix == ".jsonl":
+        return [json.loads(line) for line in text.splitlines()]
+    if path.suffix == ".csv":
+        return [[_cell(c) for c in row] for row in csv.reader(io.StringIO(text))]
+    return None
+
+
+def drift(old, new, where: str = "", acc=None) -> dict:
+    """Walk two parsed outputs side by side. Returns the largest absolute
+    and relative change over paired floats, and the paths of every other
+    value that changed (ints, text, flags, a missing key, a length)."""
+    acc = {"abs": 0.0, "rel": 0.0, "changed": []} if acc is None else acc
+    if type(old) is float and type(new) is float:
+        if old != new and not (math.isnan(old) and math.isnan(new)):
+            change = abs(new - old)
+            if math.isfinite(change):
+                acc["abs"] = max(acc["abs"], change)
+                acc["rel"] = max(acc["rel"], change / max(abs(old), abs(new)))
+            else:
+                acc["changed"].append(where or ".")
+    elif isinstance(old, dict) and isinstance(new, dict) and old.keys() == new.keys():
+        for key in old:
+            drift(old[key], new[key], f"{where}.{key}", acc)
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for i, (a, b) in enumerate(zip(old, new)):
+            drift(a, b, f"{where}[{i}]", acc)
+    elif type(old) is not type(new) or old != new:
+        acc["changed"].append(where or ".")
+    return acc
+
+
+def drift_line(name: str, base_path: Path, new_path: Path) -> str:
+    try:
+        old, new = read_values(base_path), read_values(new_path)
+    except (OSError, ValueError) as exc:
+        return f"    {name}: not compared ({exc})"
+    if old is None:
+        return f"    {name}: not a JSON, JSONL or CSV file"
+    d = drift(old, new)
+    changed = d["changed"]
+    shown = ", ".join(changed[:5]) + (f", ... ({len(changed)} in all)" if len(changed) > 5 else "")
+    return (f"    {name}: floats moved by at most {d['abs']:.3g} (relative {d['rel']:.3g}); "
+            + (f"other fields changed: {shown}" if changed else "no other field changed"))
 
 
 def report(inputs, work, base, new, base_files, new_files) -> int:
@@ -137,15 +243,19 @@ def report(inputs, work, base, new, base_files, new_files) -> int:
         problems = [f"exit {b_code}/{code}"] if (b_code, code) != (0, 0) else []
         if stdout != b_stdout:
             problems.append("stdout")
-        compared = 0
+        compared, differing = 0, []
         if owner[out] == name:
             theirs = {k: v for k, v in base_files.items() if k.split(os.sep)[0] == rel}
-            problems += sorted(k for k in mine.keys() | theirs.keys()
+            differing = sorted(k for k in mine.keys() | theirs.keys()
                                if mine.get(k) != theirs.get(k))
+            problems += differing
             compared = len(mine)
         n_files += compared
         print(f"{name:34s} {b_code:>4d}/{code:<4d}  {'same' if stdout == b_stdout else 'DIFF':6s} "
               f"{compared:5d}  {'DIFFERENT: ' + ', '.join(problems) if problems else 'identical'}")
+        for k in differing:
+            if k in mine and k in theirs:
+                print(drift_line(k, work / "baseline" / k, work / "change" / k))
         failed += bool(problems)
     print(f"# {n_files} output files compared; {failed} case(s) differ or failed")
     return 1 if failed else 0

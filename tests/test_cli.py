@@ -295,6 +295,10 @@ def mismatched(tmp_path_factory, model11):
     for name, k, d in (("gmm.json", 5, 11), ("gmm1.json", 1, 11), ("gmm_d1.json", 5, 1)):
         GmmModel(weights=np.full(k, 1.0 / k), means=np.arange(k)[:, None] * np.ones(d),
                  covariances=np.tile(np.eye(d), (k, 1, 1))).save(root / name)
+    for name, weights in (("gmm_heavy.json", [0.5] * 5),
+                          ("gmm_negative.json", [-0.2, 0.3, 0.3, 0.3, 0.3])):
+        GmmModel(weights=np.array(weights), means=np.arange(5)[:, None] * np.ones(11),
+                 covariances=np.tile(np.eye(11), (5, 1, 1))).save(root / name)
     write_features_csv(root / "row.csv", np.zeros((1, 11)))
     d = model11.to_dict()
     del d["action_labels"]
@@ -318,12 +322,39 @@ def mismatched(tmp_path_factory, model11):
      "--horizon", 0, "--runs", 1),
     ("simulate", "--pomdp", "pomdp.json", "--fixed-action", "C=1.2",
      "--horizon", 10, "--runs", 0),
+    ("decide", "--pomdp", "pomdp.json", "--policy", "policy.json",
+     "--gmm", "gmm_heavy.json", "--features", "row.csv"),
+    ("decide", "--pomdp", "pomdp.json", "--policy", "policy.json",
+     "--gmm", "gmm_negative.json", "--features", "row.csv"),
+    ("fit-gmm", "--data", "row.csv", "--components", 0),
 ], ids=["simulate-short-policy", "decide-short-policy", "session-one-symbol-gmm",
         "iohmm-without-labels", "decide-one-feature-gmm", "session-one-feature-gmm",
-        "simulate-zero-horizon", "simulate-zero-runs"])
+        "simulate-zero-horizon", "simulate-zero-runs", "decide-weights-sum-2.5",
+        "decide-negative-weight", "fit-gmm-zero-components"])
 def test_exit_code_mismatched_model_files(mismatched, tmp_path, argv):
     files = [mismatched / a if str(a).endswith((".json", ".csv")) else a for a in argv]
     proc = run_cli(*files, "--out", tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("--config", "list.json", "build-pomdp", "--fixture", "bearing"),
+    ("run-session", "--pomdp", "pomdp.json", "--policy", "policy.json",
+     "--gmm", "gmm.json", "--samples", "samples.csv"),
+    ("train", "--data", "train.csv", "--states", 0),
+    ("select-k", "--data", "train.csv", "--k-min", 0, "--k-max", 2),
+    ("select-k", "--data", "train.csv", "--k-min", 3, "--k-max", 2),
+], ids=["config-list", "session-samples-without-window", "train-zero-states",
+        "select-k-zero-min", "select-k-empty-range"])
+def test_exit_code_bad_arguments(pipeline, tmp_path, argv):
+    root, _ = pipeline
+    (tmp_path / "list.json").write_text("[1, 2]")
+    (tmp_path / "samples.csv").write_text("sample\n" + "\n".join(["1.0", "-1.0"] * 8) + "\n")
+    files = [(tmp_path if str(a) in ("list.json", "samples.csv") else root) / a
+             if str(a).endswith((".json", ".csv")) else a for a in argv]
+    proc = run_cli(*files, "--out", tmp_path / "out")
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr

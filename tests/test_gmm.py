@@ -1,11 +1,14 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from cbmpomdp import GmmConfig, GmmModel, discretize, fit_gmm, responsibilities
+from cbmpomdp import GmmConfig, GmmModel, discretize, fit_gmm, gmm, responsibilities
 from cbmpomdp._cluster import TooFewObservations, kmeans
-from cbmpomdp.gmm import gaussian_logpdf
+from cbmpomdp.errors import DataError, NumericalError
+from cbmpomdp.gmm import _component_logdensities, _logsumexp, factor_gaussians, gaussian_logpdf
 from cbmpomdp.gmm import loglik as gmm_loglik
 
 
@@ -148,3 +151,121 @@ def test_kmeans_basic():
     assert set(assign.tolist()) == {0, 1, 2}
     dists = np.linalg.norm(cents[:, None, :] - centers[None, :, :], axis=2)
     assert dists.min(axis=1).max() < 0.5
+
+
+def one_at_a_time_logpdf(X, mean, cov):
+    """The density as it was computed before the factors were stacked: one
+    Cholesky factor (retried once with a jitter) and one solve per component."""
+    d = X.shape[1]
+    try:
+        chol = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        chol = np.linalg.cholesky(cov + 1e-10 * np.trace(cov) / d * np.eye(d))
+    sol = np.linalg.solve(chol, (X - mean).T)
+    logdet = 2.0 * np.log(np.diag(chol)).sum()
+    return -0.5 * (d * np.log(2.0 * np.pi) + logdet + (sol ** 2).sum(axis=0))
+
+
+@pytest.mark.parametrize("kind", ["full", "diag", "jitter"])
+@pytest.mark.parametrize("n", [1, 2, 37])
+def test_batched_densities_match_component_loop_bit_for_bit(kind, n):
+    rng = np.random.default_rng(n)
+    k, d = 5, 11
+    A = rng.normal(size=(k, d, d))
+    covs = A @ A.transpose(0, 2, 1) + 0.1 * np.eye(d)
+    if kind == "diag":
+        covs = np.stack([np.diag(np.diag(c)) for c in covs])
+    if kind == "jitter":
+        v = rng.normal(size=d)
+        covs[2] = np.outer(v, v)      # rank one: factored only after the jitter
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(covs[2])
+    means = rng.normal(size=(k, d))
+    X = rng.normal(scale=3.0, size=(n, d))
+    got = _component_logdensities(factor_gaussians(means, covs), X)
+    ref = np.column_stack([one_at_a_time_logpdf(X, means[j], covs[j]) for j in range(k)])
+    assert got.flags.c_contiguous and got.shape == (n, k)
+    np.testing.assert_array_equal(got, ref)
+    for j in range(k):
+        np.testing.assert_array_equal(gaussian_logpdf(X, means[j], covs[j]), ref[:, j])
+
+
+def test_unfactorable_covariance_is_numerical_error():
+    covs = np.stack([np.eye(2), -np.eye(2)])
+    with pytest.raises(NumericalError):
+        factor_gaussians(np.zeros((2, 2)), covs)
+
+
+def logsumexp_rows():
+    rng = np.random.default_rng(0)
+    rows = []
+    for spread in (1.0, 10.0, 1e3, 1e6):
+        a = rng.normal(scale=spread, size=(40, 5))
+        rows.append(a)
+        rows.append(np.round(a / spread) * spread)             # exact ties
+        holes = a.copy()
+        holes[rng.random(a.shape) < 0.3] = -np.inf
+        rows.append(holes)
+    rows.append(np.full((3, 5), -np.inf))
+    rows.append(np.array([[2.0, 2.0, 2.0, 2.0, 2.0], [0.0, -np.inf, 0.0, -np.inf, 1e-300]]))
+    return np.vstack(rows)
+
+
+@pytest.mark.parametrize("keepdims", [False, True])
+def test_logsumexp_matches_scipy_bit_for_bit(keepdims):
+    from scipy.special import logsumexp
+    a = logsumexp_rows()
+    got = _logsumexp(a, axis=1, keepdims=keepdims)
+    ref = logsumexp(a, axis=1, keepdims=keepdims)
+    assert got.shape == ref.shape
+    np.testing.assert_array_equal(got, ref)
+    assert np.isneginf(got.ravel()[-5:-2]).all()     # the all -inf rows
+
+
+def test_reseeded_fit_matches_refactoring_every_call(monkeypatch):
+    """Re-seeding writes a component's mean and covariance in place; a factor
+    cached from before the write would make the fit differ from one that
+    factors afresh on every density call."""
+    X, _, _ = make_blobs(seed=9, n=40)
+    config = GmmConfig(n_components=4, seed=0, max_iters=15)
+    monkeypatch.setattr(gmm, "_WEIGHT_FLOOR", 0.2)    # starve the smallest components
+    reseeds = []
+    monkeypatch.setattr(gmm.log, "warning", lambda *args: reseeds.append(args))
+    cached = fit_gmm(X, config)
+    assert reseeds
+    monkeypatch.setattr(GmmModel, "gaussians",
+                        lambda self: factor_gaussians(self.means, self.covariances))
+    fresh = fit_gmm(X, config)
+    assert cached.to_dict() == fresh.to_dict()
+    assert cached.loglik_trace == fresh.loglik_trace
+
+
+def test_zero_components_rejected():
+    with pytest.raises(DataError):
+        fit_gmm(np.zeros((5, 2)), GmmConfig(n_components=0))
+
+
+@pytest.mark.parametrize("field,value", [
+    ("weights", [1.0, 1.5]),               # sums to 2.5
+    ("weights", [1.5, -0.5]),
+    ("weights", [0.5, float("nan")]),
+    ("weights", [[0.5, 0.5]]),
+    ("means", [0.0, 1.0]),
+    ("covariances", [[[1.0]]]),
+    ("means", [[0.0], [float("nan")]]),
+    ("covariances", [[[1.0]], [[float("inf")]]]),
+    ("covariance_type", "banded"),
+])
+def test_validate_rejects_malformed_mixture(field, value):
+    d = GmmModel(weights=np.array([0.5, 0.5]), means=np.array([[0.0], [1.0]]),
+                 covariances=np.ones((2, 1, 1))).to_dict()
+    d[field] = value
+    with pytest.raises(DataError):
+        GmmModel.from_dict(d)
+
+
+def test_runtime_import_leaves_scipy_out():
+    code = ("import sys, cbmpomdp, cbmpomdp.cli; "
+            "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
