@@ -328,6 +328,9 @@ def cmd_compare_classical(args, out: Path) -> None:
 def cmd_rul(args, out: Path) -> None:
     model = IohmmModel.load(args.iohmm)
     dataset = _load_dataset(args.data, model.action_labels)
+    if model.n_features != len(FEATURE_NAMES):
+        raise DataError(f"iohmm model has {model.n_features} features; the data has "
+                        f"{len(FEATURE_NAMES)} feature columns")
     quantiles = tuple(args.quantiles)
     header = ["sequence", "epoch", "true_rul", "lower", "median", "upper", "censored"]
     if any(s.failed for s in dataset.sequences):

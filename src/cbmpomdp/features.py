@@ -10,6 +10,7 @@ value used by the ratio features is max(|x_i|).
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,20 +113,22 @@ def segment_stream(samples, window: int, hop: int | None = None) -> np.ndarray:
 
 
 def read_samples_csv(path) -> np.ndarray:
-    """Read a single-column sample stream; header row 'sample' required."""
+    """Read a single-column sample stream; header row 'sample' required.
+    Blank lines are skipped and only the first column is read."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvFormatError(f"{path}: empty file") from None
-        if [h.strip() for h in header] != ["sample"]:
-            raise CsvFormatError(f"{path}: expected single header column 'sample', got {header}")
-        try:
-            values = [float(row[0]) for row in reader if row]
-        except (ValueError, IndexError) as exc:
-            raise CsvFormatError(f"{path}: non-numeric sample row") from exc
-    return np.asarray(values, dtype=float)
+        line = fh.readline()
+    if not line:
+        raise CsvFormatError(f"{path}: empty file")
+    header = next(csv.reader([line]))
+    if [h.strip() for h in header] != ["sample"]:
+        raise CsvFormatError(f"{path}: expected single header column 'sample', got {header}")
+    try:
+        with warnings.catch_warnings():  # a header alone reads as no samples
+            warnings.simplefilter("ignore", UserWarning)
+            return np.loadtxt(path, delimiter=",", quotechar='"', usecols=0, comments=None,
+                              skiprows=1, ndmin=1)
+    except ValueError as exc:
+        raise CsvFormatError(f"{path}: non-numeric sample row") from exc
 
 
 def read_features_csv(path, extra_columns: tuple[str, ...] = ()) -> dict:

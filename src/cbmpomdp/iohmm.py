@@ -137,6 +137,36 @@ class IohmmModel:
             cached[2][key] = factor_gaussians(*self.emission_params(action))
         return cached[2][key]
 
+    def validate(self) -> "IohmmModel":
+        """Check shapes, labels and sort key, that every parameter is finite,
+        and that the transition rows and the initial distribution are
+        non-negative and sum to 1."""
+        trans = self.transitions
+        K = trans.shape[-1] if trans.ndim else 0
+        if trans.ndim != 3 or trans.shape[1:] != (K, K) or 0 in trans.shape:
+            raise DataError(f"iohmm transitions have shape {trans.shape}, expected (A, K, K)")
+        if len(self.action_labels) != trans.shape[0]:
+            raise DataError(f"{len(self.action_labels)} action labels for "
+                            f"{trans.shape[0]} transition matrices")
+        if self.emission_mode not in ("shared", "action"):
+            raise DataError(f"unknown emission mode {self.emission_mode!r}")
+        lead = (K,) if self.emission_mode == "shared" else (self.n_actions, K)
+        d = self.means.shape[-1] if self.means.ndim else 0
+        if d < 1 or self.means.shape != lead + (d,) or self.covariances.shape != lead + (d, d):
+            raise DataError(f"iohmm means {self.means.shape} and covariances "
+                            f"{self.covariances.shape} do not fit {lead} emissions")
+        if self.initial.shape != (K,):
+            raise DataError(f"iohmm initial has shape {self.initial.shape}, expected ({K},)")
+        if not 0 <= self.sort_key < d:
+            raise DataError(f"sort key {self.sort_key} is not one of the {d} features")
+        if not all(np.isfinite(x).all() for x in (trans, self.means, self.covariances,
+                                                  self.initial)):
+            raise DataError("iohmm parameters must be finite")
+        for name, rows in (("transition", trans), ("initial", self.initial)):
+            if (rows < 0).any() or np.abs(rows.sum(axis=-1) - 1.0).max() > 1e-9:
+                raise DataError(f"iohmm {name} rows must be non-negative and sum to 1")
+        return self
+
     def to_dict(self) -> dict:
         return {
             "kind": "iohmm",
@@ -161,7 +191,7 @@ class IohmmModel:
             initial=np.asarray(d["initial"], dtype=float),
             emission_mode=str(d["emission_mode"]),
             sort_key=int(d["sort_key"]),
-        )
+        ).validate()
 
     save = _json.save
     load = classmethod(_json.load)
@@ -169,9 +199,12 @@ class IohmmModel:
 
 @dataclass
 class Posteriors:
-    gamma: np.ndarray        # (T, K) state marginals
-    xi: np.ndarray           # (T-1, K, K) pairwise (from, to) marginals
-    loglik: float
+    """Smoothed posteriors of one sequence, or of a dataset's stacked in dataset order."""
+    gamma: np.ndarray             # (epochs, K) state marginals
+    counts: np.ndarray            # (A, K, K) pairwise (from, to) marginals summed per action
+    logliks: np.ndarray           # (sequences,) each sequence's loglik
+    loglik: float                 # their sum, in dataset order
+    xi: np.ndarray | None = None  # one sequence's (T-1, K, K) pairwise marginals
 
 
 @dataclass
@@ -186,82 +219,88 @@ class GemConfig:
     constrained: bool = True  # False gives the classical unconstrained baseline
 
 
-def _log_emission_matrix(seq: Sequence, model: IohmmModel) -> np.ndarray:
-    if model.emission_mode == "shared":
-        return _component_logdensities(model.emission_gaussians(0), seq.obs)
-    logb = np.empty((seq.obs.shape[0], model.n_states))
-    for a in range(model.n_actions):
-        rows = seq.actions == a
-        if rows.any():
-            logb[rows] = _component_logdensities(model.emission_gaussians(a), seq.obs[rows])
-    return logb
+def _forward(sequences: list, model: IohmmModel):
+    """Scaled forward recursion over all sequences at once, time-major.
 
-
-def _check_actions(seq: Sequence, model: IohmmModel) -> None:
-    bad = (seq.actions < 0) | (seq.actions >= model.n_actions)
+    Arrays are indexed by pooled row (sequences stacked in dataset order).
+    rows[t] holds epoch t of each sequence still running, longest first, and
+    order their dataset indices, so a step is one stacked matmul, unpadded.
+    Returns the actions, the emission likelihoods p, each row divided by its
+    max, the filtered alpha = P(S_t | O_1..t, A_1..t), the scales, each
+    sequence's loglik, rows and order."""
+    X = np.vstack([s.obs for s in sequences])
+    acts = np.concatenate([s.actions for s in sequences])
+    bad = (acts < 0) | (acts >= model.n_actions)
     if bad.any():
-        raise InvalidAction(f"unknown action id {int(seq.actions[bad][0])}")
-
-
-def _forward(seq: Sequence, model: IohmmModel):
-    """Scaled forward recursion for one input-driven sequence.
-
-    Returns the emission likelihoods p (T, K), each row divided by its max
-    (the log shifts (T,) are returned too), the filtered rows alpha (T, K)
-    = P(S_t | O_1..t, A_1..t), and the per-step scales (T,).
-    """
-    _check_actions(seq, model)
-    T, K = seq.obs.shape[0], model.n_states
-    logb = _log_emission_matrix(seq, model)
+        raise InvalidAction(f"unknown action id {int(acts[bad][0])}")
+    lengths = np.array([s.obs.shape[0] for s in sequences])
+    starts = np.cumsum(lengths) - lengths
+    order = np.argsort(-lengths, kind="stable")
+    running = len(lengths) - np.cumsum(np.bincount(lengths))[:-1]
+    rows = [starts[order[:n]] + t for t, n in enumerate(running)]
+    if model.emission_mode == "shared":
+        logb = _component_logdensities(model.emission_gaussians(0), X)
+    else:
+        logb = np.empty((X.shape[0], model.n_states))
+        for a in np.unique(acts):
+            logb[acts == a] = _component_logdensities(model.emission_gaussians(a), X[acts == a])
     shift = logb.max(axis=1)
     p = np.exp(logb - shift[:, None])
-    alpha = np.empty((T, K))
-    scale = np.empty(T)
-    cur = model.initial * p[0]
-    for t in range(T):
-        if t:
-            cur = (alpha[t - 1] @ model.transitions[seq.actions[t]]) * p[t]
-        scale[t] = cur.sum()
-        if scale[t] <= 0:
-            raise NumericalError(f"sequence has zero probability under the model at epoch {t}")
-        alpha[t] = cur / scale[t]
-    return p, shift, alpha, scale
+    alpha, scale = np.empty_like(p), np.empty(len(p))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for t, r in enumerate(rows):
+            prior = np.matmul(alpha[r - 1][:, None], model.transitions[acts[r]])[:, 0] \
+                if t else model.initial
+            cur = prior * p[r]
+            scale[r] = cur.sum(axis=1)
+            alpha[r] = cur / scale[r][:, None]
+    zero = np.flatnonzero(scale <= 0)
+    if zero.size:
+        i = int(np.searchsorted(starts, zero[0], side="right")) - 1
+        raise NumericalError(f"sequence {i} has zero probability under the model "
+                             f"at epoch {zero[0] - starts[i]}")
+    # one .sum() per sequence slice: the summation order of a lone sequence
+    logliks = np.array([np.log(scale[s:s + n]).sum() + shift[s:s + n].sum()
+                        for s, n in zip(starts, lengths)])
+    return acts, p, alpha, scale, logliks, rows, order
 
 
-def forward_backward(seq: Sequence, model: IohmmModel) -> Posteriors:
-    """Scaled forward-backward pass for one input-driven sequence.
+def forward_backward(data: Sequence | Dataset, model: IohmmModel) -> Posteriors:
+    """Scaled forward-backward pass over one Sequence or a whole Dataset.
 
-    Every step is renormalized, with the per-step log scale folded into the
-    returned loglik, so underflow cannot occur regardless of sequence length.
-    """
-    p, shift, alpha, scale = _forward(seq, model)
-    T, K = alpha.shape
-    total = float(np.log(scale).sum() + shift.sum())
-
-    beta = np.empty((T, K))
-    beta[T - 1] = 1.0
-    for t in range(T - 2, -1, -1):
-        beta[t] = (model.transitions[seq.actions[t + 1]] @ (p[t + 1] * beta[t + 1])) / scale[t + 1]
-
+    Every step is renormalized, the log scales summed into the loglik, so
+    nothing underflows. Pairwise marginals are summed per (sequence, action)
+    in time order, then over sequences in dataset order (one Sequence also
+    keeps them per step)."""
+    sequences = data.sequences if isinstance(data, Dataset) else [data]
+    acts, p, alpha, scale, logliks, rows, order = _forward(sequences, model)
+    trans, K = model.transitions, model.n_states
+    beta = np.ones_like(p)
+    for r in reversed(rows[1:]):
+        beta[r - 1] = np.matmul(trans[acts[r]], (p[r] * beta[r])[:, :, None])[:, :, 0] \
+            / scale[r][:, None]
     gamma = alpha * beta
     gamma /= gamma.sum(axis=1, keepdims=True)
-
-    xi = np.empty((max(T - 1, 0), K, K))
-    for t in range(1, T):
-        slab = (alpha[t - 1][:, None]
-                * model.transitions[seq.actions[t]]
-                * (p[t] * beta[t])[None, :]) / scale[t]
-        xi[t - 1] = slab / slab.sum()
-    return Posteriors(gamma=gamma, xi=xi, loglik=total)
+    counts = np.zeros((len(sequences), model.n_actions, K, K))
+    xi = np.empty((len(p), K, K)) if len(sequences) == 1 else None
+    for r in rows[1:]:
+        slab = (alpha[r - 1][:, :, None] * trans[acts[r]]
+                * (p[r] * beta[r])[:, None, :]) / scale[r][:, None, None]
+        slab /= slab.reshape(len(r), -1).sum(axis=1)[:, None, None]
+        counts[order[:len(r)], acts[r]] += slab
+        if xi is not None:
+            xi[r] = slab
+    return Posteriors(gamma, counts.sum(axis=0), logliks, float(sum(logliks.tolist())),
+                      None if xi is None else xi[1:])
 
 
 def forward_filter(seq: Sequence, model: IohmmModel) -> np.ndarray:
     """Filtered state beliefs P(S_t | O_1..t, A_1..t), one row per epoch."""
-    return _forward(seq, model)[2]
+    return _forward([seq], model)[2]
 
 
 def loglik(dataset: Dataset, model: IohmmModel) -> float:
-    return float(sum(forward_backward(s, model).loglik for s in dataset.sequences))
+    return float(sum(_forward(dataset.sequences, model)[4].tolist()))
 
 
 def decode_states(seq: Sequence, model: IohmmModel) -> tuple[np.ndarray, np.ndarray]:
@@ -345,30 +384,22 @@ def enforce_left_to_right(model: IohmmModel) -> IohmmModel:
     return model
 
 
-def _m_step(dataset: Dataset, posteriors: list, model: IohmmModel,
+def _m_step(dataset: Dataset, post: Posteriors, model: IohmmModel,
             config: GemConfig) -> IohmmModel:
-    K, A = model.n_states, model.n_actions
-
-    trans_num = np.zeros((A, K, K))
-    for seq, post in zip(dataset.sequences, posteriors):
-        for a in range(A):
-            steps = np.flatnonzero(seq.actions[1:] == a)
-            if steps.size:
-                trans_num[a] += post.xi[steps].sum(axis=0)
     transitions = model.transitions.copy()
-    row_tot = trans_num.sum(axis=2)
+    row_tot = post.counts.sum(axis=2)
     visited = row_tot > 0
-    transitions[visited] = trans_num[visited] / row_tot[visited][:, None]
+    transitions[visited] = post.counts[visited] / row_tot[visited][:, None]
 
     X = dataset.pooled_obs()
-    W = np.vstack([p.gamma for p in posteriors])
+    W = post.gamma
     if model.emission_mode == "shared":
         means, covs = weighted_gaussians(W, X, model.means, model.covariances, config.ridge)
     else:
         means = model.means.copy()
         covs = model.covariances.copy()
         all_actions = np.concatenate([s.actions for s in dataset.sequences])
-        for a in range(A):
+        for a in range(model.n_actions):
             rows = all_actions == a
             if rows.any():
                 means[a], covs[a] = weighted_gaussians(W[rows], X[rows], means[a], covs[a],
@@ -390,22 +421,21 @@ def gem_fit(dataset: Dataset, config: GemConfig,
     """
     dataset.validate()
     model = init if init is not None else init_kmeans(dataset, config)
+    lengths = np.array([s.obs.shape[0] for s in dataset.sequences])
+    last = (np.cumsum(lengths) - 1)[np.array([s.failed for s in dataset.sequences], dtype=bool)]
     trace: list[float] = []
     prev = None
     for it in range(config.max_iters):
-        posteriors = [forward_backward(s, model) for s in dataset.sequences]
-        total = float(sum(p.loglik for p in posteriors))
-        if np.isnan(total):
+        post = forward_backward(dataset, model)
+        if np.isnan(post.loglik):
             raise NoProgress(f"loglik became nan at iteration {it}")
-        trace.append(total)
-        if prev is not None and abs(total - prev) < config.tol * max(1.0, abs(prev)):
+        trace.append(post.loglik)
+        if prev is not None and abs(post.loglik - prev) < config.tol * max(1.0, abs(prev)):
             break
-        prev = total
-        for seq, post in zip(dataset.sequences, posteriors):
-            if seq.failed:
-                post.gamma[-1] = 0.0
-                post.gamma[-1, -1] = 1.0
-        model = _m_step(dataset, posteriors, model, config)
+        prev = post.loglik
+        post.gamma[last] = 0.0      # the last epoch of a failed sequence is the last state
+        post.gamma[last, -1] = 1.0
+        model = _m_step(dataset, post, model, config)
         if config.constrained:
             model = enforce_left_to_right(model)
     else:

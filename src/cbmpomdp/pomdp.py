@@ -475,6 +475,9 @@ def build_pomdp(iohmm_model, gmm: GmmModel | None, costs,
     else:
         if gmm is None:
             raise DataError("either a gmm or an explicit observation matrix is required")
+        if gmm.n_features != iohmm_model.n_features:
+            raise DataError(f"gmm has {gmm.n_features} features; the iohmm model has "
+                            f"{iohmm_model.n_features}")
         emit_means, emit_covs = iohmm_model.emission_params(0)
         obs = estimate_observation_rows(emit_means, emit_covs, gmm,
                                         n_samples=n_obs_samples, seed=seed)

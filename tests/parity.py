@@ -67,6 +67,11 @@ def cases(inputs: dict, side: Path) -> list:
         ("fit-gmm-5", ("fit-gmm", "--data", inputs["dataset"], "--components", 5)),
         ("train-action-emissions", ("train", "--data", inputs["dataset"], "--states", 2,
                                     "--max-iters", 20, "--emission-mode", "action")),
+        ("train-failures", ("train", "--data", inputs["failures"], "--states", 3,
+                            "--max-iters", 40)),
+        ("train-failures-action-emissions", ("train", "--data", inputs["failures"],
+                                             "--states", 3, "--max-iters", 40,
+                                             "--emission-mode", "action")),
         ("decide-bayes", (*decide, "--gmm", setup / "gmm.json", "--features",
                           inputs["row"], "--mode", "bayes")),
         ("decide-samples", (*decide, "--gmm", setup / "gmm.json", "--samples",
@@ -104,12 +109,18 @@ def cases(inputs: dict, side: Path) -> list:
         ("reject-train-zero-states", ("train", "--data", inputs["dataset"], "--states", 0)),
         ("reject-select-k-zero-min", ("select-k", "--data", inputs["dataset"],
                                       "--k-min", 0, "--k-max", 2)),
+        *((f"reject-rul-{name}", ("rul", "--iohmm", inputs[f"iohmm_{name}"], "--data",
+                                  inputs["failures"], "--action", "a0"))
+          for name in ("3-features", "transitions-1x1x2", "short-initial")),
+        ("reject-build-pomdp-3-feature-iohmm", ("build-pomdp", "--iohmm",
+                                                inputs["iohmm_3-features"], "--gmm",
+                                                setup / "gmm.json", "--capacity-rewards", 1.0)),
     )]
     return out
 
 
-def write_reject_inputs(root: Path) -> dict:
-    """Inputs only the change-only cases read."""
+def write_reject_inputs(root: Path, inputs: dict) -> dict:
+    """Inputs only the change-only cases read; some are derived from inputs."""
     paths = {name: root / f"{name}.json"
              for name in ("gmm_d1", "gmm_heavy", "gmm_negative", "config_list")}
     GmmModel(weights=np.full(2, 0.5), means=np.array([[0.0], [1.0]]),
@@ -118,6 +129,14 @@ def write_reject_inputs(root: Path) -> dict:
         GmmModel(weights=np.asarray(weights), means=np.zeros((2, 11)) + [[0.0], [1.0]],
                  covariances=np.tile(np.eye(11), (2, 1, 1))).save(paths[name])
     paths["config_list"].write_text("[1, 2]\n")
+    rul = json.loads(inputs["rul_model"].read_text())     # 3 states, 1 action, 11 features
+    for name, change in (
+            ("3-features", {"means": [m[:3] for m in rul["means"]],
+                            "covariances": [[r[:3] for r in c[:3]] for c in rul["covariances"]]}),
+            ("transitions-1x1x2", {"transitions": [[[1.0, 0.0]]]}),
+            ("short-initial", {"initial": [1.0]})):
+        paths[f"iohmm_{name}"] = root / f"iohmm_{name}.json"
+        paths[f"iohmm_{name}"].write_text(json.dumps({**rul, **change}))
     return paths
 
 
@@ -153,7 +172,7 @@ def main(argv=None) -> int:
         work = Path(args.work or tmp).resolve()
         (work / "inputs").mkdir(parents=True)
         inputs = write_inputs(work / "inputs")
-        inputs.update(write_reject_inputs(work / "inputs"))
+        inputs.update(write_reject_inputs(work / "inputs", inputs))
         base = run_side(baseline, inputs, work / "baseline", change=False)
         new = run_side(SRC, inputs, work / "change", change=True)
         base_files, new_files = digests(work / "baseline"), digests(work / "change")

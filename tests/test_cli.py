@@ -303,6 +303,15 @@ def mismatched(tmp_path_factory, model11):
     d = model11.to_dict()
     del d["action_labels"]
     (root / "iohmm.json").write_text(json.dumps(d))
+    d = model11.to_dict()
+    for name, change in (
+            ("iohmm_d3.json", {"means": [m[:3] for m in d["means"]],
+                               "covariances": [[r[:3] for r in c[:3]] for c in d["covariances"]]}),
+            ("iohmm_1x1x2.json", {"transitions": [[[1.0, 0.0]]], "action_labels": ["a0"]}),
+            ("iohmm_short_initial.json", {"initial": [1.0]})):
+        (root / name).write_text(json.dumps({**d, **change}))
+    write_dataset_csv(root / "units.csv", sample_dataset(model11, n_seqs=2, T=4, seed=0,
+                                                         actions=0))
     return root
 
 
@@ -327,10 +336,16 @@ def mismatched(tmp_path_factory, model11):
     ("decide", "--pomdp", "pomdp.json", "--policy", "policy.json",
      "--gmm", "gmm_negative.json", "--features", "row.csv"),
     ("fit-gmm", "--data", "row.csv", "--components", 0),
+    ("rul", "--iohmm", "iohmm_d3.json", "--data", "units.csv", "--action", "a0"),
+    ("rul", "--iohmm", "iohmm_1x1x2.json", "--data", "units.csv", "--action", "a0"),
+    ("rul", "--iohmm", "iohmm_short_initial.json", "--data", "units.csv", "--action", "a0"),
+    ("build-pomdp", "--iohmm", "iohmm_d3.json", "--gmm", "gmm.json",
+     "--capacity-rewards", 1.0, 1.2),
 ], ids=["simulate-short-policy", "decide-short-policy", "session-one-symbol-gmm",
         "iohmm-without-labels", "decide-one-feature-gmm", "session-one-feature-gmm",
         "simulate-zero-horizon", "simulate-zero-runs", "decide-weights-sum-2.5",
-        "decide-negative-weight", "fit-gmm-zero-components"])
+        "decide-negative-weight", "fit-gmm-zero-components", "rul-3-feature-iohmm",
+        "rul-transitions-1x1x2", "rul-short-initial", "build-pomdp-3-feature-iohmm"])
 def test_exit_code_mismatched_model_files(mismatched, tmp_path, argv):
     files = [mismatched / a if str(a).endswith((".json", ".csv")) else a for a in argv]
     proc = run_cli(*files, "--out", tmp_path)

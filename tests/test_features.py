@@ -140,6 +140,45 @@ def test_samples_csv_roundtrip(tmp_path):
         read_samples_csv(bad)
 
 
+@pytest.mark.parametrize("text", [
+    "",                              # empty file
+    "value\n1\n",                    # wrong header
+    "sample,extra\n1,2\n",           # header with a second column
+    "sample\n1.0\nabc\n",            # non-numeric row
+    "sample\n1.0\n#2.0\n",           # a comment marker is not special
+    "sample\n1.0\n,2.0\n",           # empty first column
+], ids=["empty", "header", "two-column-header", "non-numeric", "hash", "empty-cell"])
+def test_samples_csv_rejects_malformed(tmp_path, text):
+    p = tmp_path / "s.csv"
+    p.write_text(text)
+    with pytest.raises(CsvFormatError):
+        read_samples_csv(p)
+
+
+def test_samples_csv_skips_blank_lines_and_reads_column_0(tmp_path):
+    p = tmp_path / "s.csv"
+    p.write_text("sample\n1.5\n\n-2,9,x\n\n0.25\n")
+    np.testing.assert_array_equal(read_samples_csv(p), [1.5, -2.0, 0.25])
+    p.write_text("sample\n")
+    assert read_samples_csv(p).shape == (0,)
+    p.write_text("sample\r\n3\r\n")
+    np.testing.assert_array_equal(read_samples_csv(p), [3.0])
+
+
+def test_samples_csv_bit_identical_to_float_parse(tmp_path):
+    rng = np.random.default_rng(0)
+    x = np.concatenate([rng.normal(size=2000), rng.normal(size=500) * 1e-300,
+                        rng.normal(size=500) * 1e300, rng.integers(-9, 9, size=50)])
+    cells = [repr(float(v)) for v in x] + [f"{v:.3e}" for v in x[:300]] + [
+        f"{v:.25f}" for v in x[:300]] + ["1e-320", "-0.0", "nan", "inf", "-Infinity", " 2.5"]
+    p = tmp_path / "s.csv"
+    p.write_text("sample\n" + "\n".join(cells) + "\n")
+    got = read_samples_csv(p)
+    want = np.array([float(c) for c in cells])
+    assert got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+
+
 def test_features_csv_roundtrip(tmp_path):
     p = tmp_path / "f.csv"
     feats = windows_to_features([[2.0, 0.0], [1.0, -1.0, 1.0, -1.0]])

@@ -3,9 +3,10 @@ import pytest
 
 from cbmpomdp import (Dataset, GemConfig, IohmmModel, Sequence, aic, bic,
                       decode_states, enforce_left_to_right, forward_backward,
-                      forward_filter, gem_fit, init_kmeans, n_parameters,
+                      forward_filter, gem_fit, init_kmeans, loglik, n_parameters,
                       predict_rul, sample_sequence, select_k)
 from cbmpomdp.errors import DataError, NumericalError
+from cbmpomdp.gmm import _component_logdensities, weighted_gaussians
 from cbmpomdp.iohmm import InvalidAction, NoFailureState
 from oracles import enumerate_posteriors
 from synth import left_to_right_model, sample_dataset
@@ -461,3 +462,154 @@ def test_model_serialization_roundtrip(tmp_path):
     p2 = tmp_path / "m2.json"
     back.save(p2)
     assert path.read_bytes() == p2.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# the fleet-wide kernel against the per-sequence recursion
+
+
+def reference_pass(dataset, model):
+    """Scaled forward-backward (Rabiner 1989) one sequence and one epoch at a
+    time, on emissions scored once on the pooled observations. Returns the
+    stacked gamma, the pairwise marginals summed per action (per sequence in
+    time order, then over sequences) and each sequence's loglik."""
+    X = dataset.pooled_obs()
+    acts = np.concatenate([s.actions for s in dataset.sequences])
+    if model.emission_mode == "shared":
+        logb = _component_logdensities(model.emission_gaussians(0), X)
+    else:
+        logb = np.empty((X.shape[0], model.n_states))
+        for a in range(model.n_actions):
+            if (acts == a).any():
+                logb[acts == a] = _component_logdensities(model.emission_gaussians(a),
+                                                          X[acts == a])
+    K, A = model.n_states, model.n_actions
+    gammas, counts, logliks, start = [], np.zeros((A, K, K)), [], 0
+    for seq in dataset.sequences:
+        T = seq.obs.shape[0]
+        lb = logb[start:start + T]
+        start += T
+        shift = lb.max(axis=1)
+        p = np.exp(lb - shift[:, None])
+        alpha, scale = np.empty((T, K)), np.empty(T)
+        cur = model.initial * p[0]
+        for t in range(T):
+            if t:
+                cur = (alpha[t - 1] @ model.transitions[seq.actions[t]]) * p[t]
+            scale[t] = cur.sum()
+            alpha[t] = cur / scale[t]
+        beta = np.empty((T, K))
+        beta[T - 1] = 1.0
+        for t in range(T - 2, -1, -1):
+            beta[t] = (model.transitions[seq.actions[t + 1]]
+                       @ (p[t + 1] * beta[t + 1])) / scale[t + 1]
+        gamma = alpha * beta
+        gammas.append(gamma / gamma.sum(axis=1, keepdims=True))
+        xi = np.empty((T - 1, K, K))
+        for t in range(1, T):
+            slab = (alpha[t - 1][:, None] * model.transitions[seq.actions[t]]
+                    * (p[t] * beta[t])[None, :]) / scale[t]
+            xi[t - 1] = slab / slab.sum()
+        for a in range(A):
+            steps = np.flatnonzero(seq.actions[1:] == a)
+            if steps.size:
+                counts[a] += xi[steps].sum(axis=0)
+        logliks.append(float(np.log(scale).sum() + shift.sum()))
+    return np.vstack(gammas), counts, logliks
+
+
+def ragged_fleet(model, lengths=(7, 1, 30, 2, 7), seed=0):
+    """Sequences of the given lengths, out of length order, every other one failed."""
+    rng = np.random.default_rng(seed)
+    seqs = [Sequence(rng.normal(scale=3.0, size=(T, model.n_features)),
+                     rng.integers(0, model.n_actions, size=T), failed=i % 2 == 0)
+            for i, T in enumerate(lengths)]
+    return Dataset(seqs, list(model.action_labels)).validate()
+
+
+@pytest.mark.parametrize("emission_mode", ["shared", "action"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_fleet_pass_matches_per_sequence_recursion_bit_for_bit(seed, emission_mode):
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, K=4, A=3, emission_mode=emission_mode, constrained=True)
+    model.transitions[1, 0, 2] = 0.0    # zero entries inside the allowed band too
+    model.transitions /= model.transitions.sum(axis=2, keepdims=True)
+    data = ragged_fleet(model, seed=seed)
+    post = forward_backward(data, model)
+    gamma, counts, logliks = reference_pass(data, model)
+    assert np.array_equal(post.gamma, gamma)
+    assert np.array_equal(post.counts, counts)
+    assert post.logliks.tolist() == logliks
+    assert post.loglik == sum(logliks)
+    assert post.xi is None
+    # one sequence is the same kernel; it also keeps its pairwise marginals per step
+    one = forward_backward(data.sequences[2], model)
+    assert np.array_equal(one.gamma, post.gamma[8:38])
+    assert one.logliks.tolist() == [logliks[2]]
+    assert one.xi.shape == (29, 4, 4)
+    assert loglik(data, model) == post.loglik
+
+
+def reference_gem(dataset, model, config, n_iters):
+    """The GEM loop one sequence at a time: E-step by reference_pass, clamp of
+    failed last epochs, weighted M-step, projection."""
+    X = dataset.pooled_obs()
+    acts = np.concatenate([s.actions for s in dataset.sequences])
+    ends = np.cumsum([s.obs.shape[0] for s in dataset.sequences]) - 1
+    trace = []
+    for _ in range(n_iters):
+        W, counts, logliks = reference_pass(dataset, model)
+        trace.append(float(sum(logliks)))
+        for seq, end in zip(dataset.sequences, ends):
+            if seq.failed:
+                W[end] = 0.0
+                W[end, -1] = 1.0
+        transitions = model.transitions.copy()
+        row_tot = counts.sum(axis=2)
+        transitions[row_tot > 0] = counts[row_tot > 0] / row_tot[row_tot > 0][:, None]
+        if model.emission_mode == "shared":
+            means, covs = weighted_gaussians(W, X, model.means, model.covariances,
+                                             config.ridge)
+        else:
+            means, covs = model.means.copy(), model.covariances.copy()
+            for a in range(model.n_actions):
+                if (acts == a).any():
+                    means[a], covs[a] = weighted_gaussians(W[acts == a], X[acts == a],
+                                                           means[a], covs[a], config.ridge)
+        model = enforce_left_to_right(IohmmModel(
+            model.action_labels, transitions, means, covs, model.initial.copy(),
+            emission_mode=model.emission_mode))
+    return model, trace
+
+
+@pytest.mark.parametrize("emission_mode", ["shared", "action"])
+def test_gem_fit_matches_reference_loop(emission_mode):
+    truth = left_to_right_model()
+    data = sample_dataset(truth, n_seqs=6, T=12, seed=7)
+    data.sequences[1] = Sequence(data.sequences[1].obs[:1], data.sequences[1].actions[:1])
+    data.sequences[4] = Sequence(data.sequences[4].obs[:5], data.sequences[4].actions[:5],
+                                 failed=True)
+    config = GemConfig(n_states=3, emission_mode=emission_mode, max_iters=4, tol=0.0)
+    init = init_kmeans(data, config)
+    model, trace = gem_fit(data, config, init=init)
+    ref_model, ref_trace = reference_gem(data, init, config, n_iters=4)
+    assert trace == ref_trace
+    for name in ("transitions", "means", "covariances", "initial"):
+        assert np.array_equal(getattr(model, name), getattr(ref_model, name)), name
+
+
+def test_zero_probability_names_first_sequence_in_dataset_order():
+    # sequence 0 becomes impossible at epoch 3; sequence 1, which the
+    # time-major walk reaches first, at epoch 0
+    model = IohmmModel(action_labels=("a0",),
+                       transitions=np.array([[[1.0, 0.0], [0.0, 1.0]]]),
+                       means=np.array([[0.0], [1e8]]),
+                       covariances=np.array([[[1e-4]], [[1e-4]]]),
+                       initial=np.array([1.0, 0.0]))
+    data = Dataset([Sequence(np.array([[0.0], [0.0], [0.0], [1e8]]), np.zeros(4)),
+                    Sequence(np.array([[1e8], [0.0]]), np.zeros(2))], ["a0"])
+    with pytest.raises(NumericalError, match="sequence 0 has zero probability under the "
+                                             "model at epoch 3"):
+        forward_backward(data, model)
+    with pytest.raises(NumericalError, match="sequence 0 .* at epoch 0"):
+        forward_filter(data.sequences[1], model)

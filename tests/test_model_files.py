@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from cbmpomdp import GmmModel, Policy, bearing_pomdp
+from cbmpomdp import GmmModel, IohmmModel, Policy, bearing_pomdp
 from cbmpomdp.errors import DataError
 from synth import left_to_right_model
 
@@ -52,3 +52,25 @@ def test_policy_rejects_inconsistent_alphas(field, value):
     d[field] = value
     with pytest.raises(DataError):
         Policy.from_dict(d)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("transitions", [[[0.5, 0.5]]]),                      # 1 x 1 x 2, not square
+    ("transitions", [[0.5, 0.5], [0.0, 1.0]]),            # not a stack of matrices
+    ("transitions", [[[0.8, 0.2], [0.0, 1.0]]] * 3),      # three matrices, two labels
+    ("transitions", [[[0.8, 0.3], [0.0, 1.0]]] * 2),      # a row summing to 1.1
+    ("transitions", [[[1.2, -0.2], [0.0, 1.0]]] * 2),     # a negative entry
+    ("initial", [1.0]),                                   # one entry for two states
+    ("initial", [0.5, 0.6]),
+    ("means", [[0.0, 0.0, 0.0], [6.0, 3.0, 0.0], [1.0, 1.0, 1.0]]),   # three states
+    ("means", [[0.0, float("nan"), 0.0], [6.0, 3.0, 0.0]]),
+    ("covariances", [[[1.0]], [[1.0]]]),                  # 1 x 1 for 3 features
+    ("emission_mode", "action"),                          # shared-shaped emissions
+    ("emission_mode", "pooled"),
+    ("sort_key", 3),
+])
+def test_iohmm_rejects_inconsistent_fields(field, value):
+    d = left_to_right_model(n_states=2, n_actions=2, n_features=3).to_dict()
+    d[field] = value
+    with pytest.raises(DataError):
+        IohmmModel.from_dict(d)
