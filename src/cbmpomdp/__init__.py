@@ -7,9 +7,8 @@ maintenance actions, online policy execution, and Monte-Carlo evaluation.
 """
 from .bearing import bearing_pomdp
 from .errors import DataError, NumericalError
-from .features import (FEATURE_NAMES, FeatureVector, extract_features,
-                       read_features_csv, read_samples_csv, segment_stream,
-                       windows_to_features, write_features_csv)
+from .features import (FEATURE_NAMES, extract_features, read_features_csv, read_samples_csv,
+                       segment_stream, windows_to_features, write_features_csv)
 from .gmm import GmmConfig, GmmModel, discretize, fit_gmm, responsibilities
 from .iohmm import (Dataset, GemConfig, IohmmModel, Posteriors, RulForecast,
                     SelectionReport, Sequence, aic, bic, decode_states,

@@ -27,8 +27,7 @@ from .iohmm import Dataset, GemConfig, IohmmModel, Sequence, gem_fit, select_k
 from .pomdp import (CostTable, PbviConfig, Policy, PomdpModel, build_pomdp,
                     build_pomdp_from_matrices, pbvi_solve)
 from .runtime import DecisionContext, decide_from_features, run_session
-from .sim import (SimConfig, compare_classical, k_sweep, rul_experiment, rul_forecasts,
-                  simulate)
+from .sim import SimConfig, compare_classical, k_sweep, rul_experiment, rul_rows, simulate
 
 log = logging.getLogger(__name__)
 
@@ -336,21 +335,16 @@ def cmd_rul(args, out: Path) -> None:
     if any(s.failed for s in dataset.sequences):
         result = rul_experiment(dataset, model, args.action,
                                 horizon=args.horizon, quantiles=quantiles)
-        rows = [[r[c] for c in header] for r in result["rows"]]
-        summary = {"coverage": result["coverage"],
-                   "n_evaluated": result["n_evaluated"],
-                   "n_censored": result["n_censored"]}
-    else:
-        rows = [[idx, t, "", fc.lower, fc.median, fc.upper, fc.censored]
-                for idx, seq in enumerate(dataset.sequences)
-                for t, fc in enumerate(rul_forecasts(seq, model, args.action,
-                                                     args.horizon, quantiles))]
-        summary = {"coverage": None, "n_evaluated": 0,
-                   "n_censored": sum(int(r[-1]) for r in rows)}
-    _write_csv(out / "rul.csv", header, rows)
+    else:   # no true remaining life: every sequence is forecast, none scored
+        rows = rul_rows(dataset, range(len(dataset.sequences)), model, args.action,
+                        args.horizon, quantiles)
+        result = {"rows": rows, "coverage": None, "n_evaluated": 0,
+                  "n_censored": sum(r["censored"] for r in rows)}
+    _write_csv(out / "rul.csv", header, [[r[c] for c in header] for r in result["rows"]])
+    summary = {k: result[k] for k in ("coverage", "n_evaluated", "n_censored")}
     write_json(out / "rul_summary.json", summary)
     cov = summary["coverage"]
-    print(f"rul: {len(rows)} forecasts"
+    print(f"rul: {len(result['rows'])} forecasts"
           + (f", coverage={cov:.4f}" if cov is not None else "")
           + f" -> {out / 'rul.csv'}")
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,30 +30,12 @@ class CsvFormatError(DataError):
     pass
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    rms: float
-    mean: float
-    std: float
-    skewness: float
-    kurtosis: float
-    pp: float
-    crest: float
-    shape: float
-    impulse: float
-    margin: float
-    energy: float
-    degenerate: bool = False
+def extract_features(window) -> np.ndarray:
+    """Collapse one window of raw samples to its 11 features, in FEATURE_NAMES order.
 
-    def as_array(self) -> np.ndarray:
-        return np.array([getattr(self, name) for name in FEATURE_NAMES], dtype=float)
-
-
-def extract_features(window) -> FeatureVector:
-    """Collapse one window of raw samples to a FeatureVector.
-
-    A window with zero rms (all samples zero) cannot support the ratio
-    features; those come back as nan and the vector is flagged degenerate.
+    A degenerate window cannot support the ratio features, so skewness,
+    kurtosis, crest, shape, impulse and margin come back as nan: its rms is
+    zero (all samples zero), or a ratio is not finite.
     """
     x = np.asarray(window, dtype=float).ravel()
     if x.size < 2:
@@ -66,32 +47,24 @@ def extract_features(window) -> FeatureVector:
     dev = x - mean
     std = float(np.sqrt(np.mean(dev * dev)))
     pp = float(np.max(x) - np.min(x))
-    if rms == 0.0:
-        nan = float("nan")
-        return FeatureVector(rms, mean, std, nan, nan, pp, nan, nan, nan, nan,
-                             energy, degenerate=True)
-    abs_mean = float(np.mean(np.abs(x)))
-    x_max = float(np.max(np.abs(x)))
-    with np.errstate(all="ignore"):
-        skewness = float(np.sum(dev ** 3) / rms ** 3)
-        kurtosis = float(np.sum(dev ** 4) / rms ** 4)
-        crest = x_max / rms
-        shape = rms / abs_mean
-        impulse = x_max / abs_mean
-        margin = x_max / abs_mean ** 2
-    ratios = (skewness, kurtosis, crest, shape, impulse, margin)
-    if not all(np.isfinite(r) for r in ratios):
-        # rms**3 or abs_mean**2 underflowed; the ratios carry no information
-        nan = float("nan")
-        return FeatureVector(rms, mean, std, nan, nan, pp, nan, nan, nan, nan,
-                             energy, degenerate=True)
-    return FeatureVector(rms, mean, std, skewness, kurtosis, pp,
-                         crest, shape, impulse, margin, energy)
+    ratios = (float("nan"),) * 6
+    if rms != 0.0:
+        abs_mean = float(np.mean(np.abs(x)))
+        x_max = float(np.max(np.abs(x)))
+        with np.errstate(all="ignore"):
+            computed = (float(np.sum(dev ** 3) / rms ** 3), float(np.sum(dev ** 4) / rms ** 4),
+                        x_max / rms, rms / abs_mean, x_max / abs_mean, x_max / abs_mean ** 2)
+        # rms**3 or abs_mean**2 can underflow; the ratios then carry no information
+        if all(np.isfinite(r) for r in computed):
+            ratios = computed
+    skewness, kurtosis, crest, shape, impulse, margin = ratios
+    return np.array([rms, mean, std, skewness, kurtosis, pp, crest, shape, impulse, margin,
+                     energy])
 
 
 def windows_to_features(windows) -> np.ndarray:
     """Feature matrix (n_windows, 11) for an iterable of sample windows."""
-    rows = [extract_features(w).as_array() for w in windows]
+    rows = [extract_features(w) for w in windows]
     if not rows:
         raise EmptyWindow("no windows given")
     return np.vstack(rows)

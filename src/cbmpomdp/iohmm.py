@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -103,7 +103,6 @@ class IohmmModel:
     initial: np.ndarray
     emission_mode: str = "shared"
     sort_key: int = 0
-    _gaussians: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.action_labels = tuple(self.action_labels)
@@ -126,16 +125,7 @@ class IohmmModel:
         return self.means[action], self.covariances[action]
 
     def emission_gaussians(self, action: int) -> Gaussians:
-        """emission_params(action) factored, once per parameter set: the
-        factors are rebuilt when means or covariances is rebound (not when
-        either is written in place)."""
-        cached = self._gaussians
-        if cached is None or cached[0] is not self.means or cached[1] is not self.covariances:
-            cached = self._gaussians = (self.means, self.covariances, {})
-        key = -1 if self.emission_mode == "shared" else action
-        if key not in cached[2]:
-            cached[2][key] = factor_gaussians(*self.emission_params(action))
-        return cached[2][key]
+        return factor_gaussians(*self.emission_params(action))
 
     def validate(self) -> "IohmmModel":
         """Check shapes, labels and sort key, that every parameter is finite,
@@ -294,9 +284,10 @@ def forward_backward(data: Sequence | Dataset, model: IohmmModel) -> Posteriors:
                       None if xi is None else xi[1:])
 
 
-def forward_filter(seq: Sequence, model: IohmmModel) -> np.ndarray:
-    """Filtered state beliefs P(S_t | O_1..t, A_1..t), one row per epoch."""
-    return _forward([seq], model)[2]
+def forward_filter(data: Sequence | Dataset, model: IohmmModel) -> np.ndarray:
+    """Filtered state beliefs P(S_t | O_1..t, A_1..t), one row per epoch of
+    one Sequence or of a whole Dataset (stacked in dataset order)."""
+    return _forward(data.sequences if isinstance(data, Dataset) else [data], model)[2]
 
 
 def loglik(dataset: Dataset, model: IohmmModel) -> float:
@@ -495,69 +486,93 @@ def select_k(dataset: Dataset, k_values, config: GemConfig) -> SelectionReport:
 
 @dataclass
 class RulForecast:
+    """RUL quantiles of one belief (values a tuple, censored a bool) or of
+    a stack of N beliefs (values an (N, quantiles) int array, censored (N,))."""
     quantiles: tuple
-    values: tuple            # cycles until the failure mass reaches each quantile
-    censored: bool
+    values: tuple | np.ndarray   # cycles until the failure mass reaches each quantile
+    censored: bool | np.ndarray
+
+    def _at(self, i: int):
+        return self.values[i] if isinstance(self.values, tuple) else self.values[:, i]
 
     @property
-    def lower(self) -> int:
-        return self.values[int(np.argmin(self.quantiles))]
+    def lower(self):
+        return self._at(int(np.argmin(self.quantiles)))
 
     @property
-    def upper(self) -> int:
-        return self.values[int(np.argmax(self.quantiles))]
+    def upper(self):
+        return self._at(int(np.argmax(self.quantiles)))
 
     @property
-    def median(self) -> int:
-        mid = int(np.argmin(np.abs(np.asarray(self.quantiles) - 0.5)))
-        return self.values[mid]
+    def median(self):
+        return self._at(int(np.argmin(np.abs(np.asarray(self.quantiles) - 0.5))))
 
 
 def predict_rul(belief: np.ndarray, model: IohmmModel, action,
                 horizon: int = 10000,
                 quantiles: tuple = (0.025, 0.5, 0.975)) -> RulForecast:
-    """Remaining-useful-life quantiles, in cycles, from a state belief.
+    """Remaining-useful-life quantiles, in cycles, from a (K,) state belief
+    or an (N, K) stack of them.
 
-    The last state is treated as the absorbing failure state; the belief is
+    The last state is treated as the absorbing failure state; each belief is
     propagated through the transition matrix of the given action (an index,
-    a label, or a callable belief -> action index) and each quantile is the
-    first step at which the accumulated failure mass reaches it. Quantiles
-    not reached within the horizon report the horizon and set censored.
+    a label, or a callable belief -> action index, called on each belief
+    still propagating) and each quantile is the first step at which the
+    accumulated failure mass reaches it. Quantiles not reached within the
+    horizon report the horizon and set censored. All beliefs step together,
+    each by the same vector-matrix product a lone belief takes.
     """
     K = model.n_states
     for a in range(model.n_actions):
         if model.transitions[a][K - 1, K - 1] < 1.0 - 1e-9:
             raise NoFailureState(
                 f"last state is not absorbing under action {model.action_labels[a]!r}")
+    if horizon < 1:
+        raise DataError(f"RUL horizon must be at least 1, got {horizon}")
+    q = np.asarray(quantiles, dtype=float)
+    if q.ndim != 1 or not q.size or not ((q >= 0.0) & (q <= 1.0)).all():
+        raise DataError(f"RUL quantiles must lie in [0, 1], got {list(quantiles)}")
     if isinstance(action, str):
         if action not in model.action_labels:
             raise InvalidAction(f"unknown action label {action!r}")
         action = model.action_labels.index(action)
-    pick = action if callable(action) else (lambda _b: action)
+    if not callable(action) and not 0 <= action < model.n_actions:
+        raise InvalidAction(f"action index {action} out of range")
 
-    b = np.asarray(belief, dtype=float).copy()
-    if b.shape != (K,):
-        raise DataError(f"belief shape {b.shape} does not match {K} states")
-    b /= b.sum()
+    B = np.array(belief, dtype=float, ndmin=2)
+    if np.ndim(belief) not in (1, 2) or B.shape[1] != K:
+        raise DataError(f"belief shape {np.shape(belief)} does not match {K} states")
+    mass = B.sum(axis=1, keepdims=True)
+    if not ((B >= 0.0).all() and ((mass > 0.0) & (mass < np.inf)).all()):
+        raise DataError("a belief must be finite and non-negative with positive mass")
+    B /= mass
 
-    todo = sorted(quantiles)
-    values: dict[float, int] = {}
+    order = np.argsort(q, kind="stable")
+    thresholds = q[order] - 1e-12
+    first = np.full((len(B), q.size), -1)     # step each sorted quantile is reached
+    live = np.arange(len(B))
     step = 0
     while True:
-        while todo and b[-1] >= todo[0] - 1e-12:   # failure mass reached the quantile
-            values[todo.pop(0)] = step
-        if not todo or step >= horizon:
+        reached = (first[live] < 0) & (B[:, -1:] >= thresholds)
+        first[live] = np.where(reached, step, first[live])
+        keep = first[live, -1] < 0
+        live, B = live[keep], B[keep]
+        if not live.size or step >= horizon:
             break
-        a = int(pick(b))
-        if not 0 <= a < model.n_actions:
-            raise InvalidAction(f"action index {a} out of range")
-        b = b @ model.transitions[a]
+        a = action
+        if callable(action):
+            a = np.array([int(action(b)) for b in B])
+            bad = (a < 0) | (a >= model.n_actions)
+            if bad.any():
+                raise InvalidAction(f"action index {a[bad][0]} out of range")
+        B = np.matmul(B[:, None, :], model.transitions[a])[:, 0]
         step += 1
-    censored = bool(todo)
-    for q in todo:
-        values[q] = horizon
-    ordered = tuple(values[q] for q in quantiles)
-    return RulForecast(quantiles=tuple(quantiles), values=ordered, censored=censored)
+    censored = first[:, -1] < 0
+    values = np.empty_like(first)
+    values[:, order] = np.where(first < 0, horizon, first)
+    if np.ndim(belief) == 1:
+        return RulForecast(tuple(quantiles), tuple(values[0].tolist()), bool(censored[0]))
+    return RulForecast(tuple(quantiles), values, censored)
 
 
 def sample_sequence(model: IohmmModel, actions,
@@ -565,9 +580,10 @@ def sample_sequence(model: IohmmModel, actions,
     """Draw one trajectory and its observations under a fixed action plan."""
     actions = np.asarray(actions, dtype=int)
     K = model.n_states
+    gaussians = [model.emission_gaussians(a) for a in range(model.n_actions)]
 
     def emit(state: int, action: int) -> np.ndarray:
-        g = model.emission_gaussians(action)
+        g = gaussians[action]
         return g.means[state] + g.chols[state] @ rng.standard_normal(model.n_features)
 
     state = int(rng.choice(K, p=model.initial))

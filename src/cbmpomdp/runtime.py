@@ -107,7 +107,7 @@ def decide_from_features(features: np.ndarray, ctx: DecisionContext) -> Decision
 
 def decide_stateless(signal, ctx: DecisionContext) -> Decision:
     """Decision for one raw sample window; pure, carries no state."""
-    return _decide(extract_features(signal).as_array(), ctx)
+    return _decide(extract_features(signal), ctx)
 
 
 def decide_recursive(signal, prev_belief: np.ndarray, prev_action,
@@ -120,7 +120,7 @@ def decide_recursive(signal, prev_belief: np.ndarray, prev_action,
     A zero-probability symbol falls back to the stateless decision.
     """
     _require_filter(ctx)
-    return _decide(extract_features(signal).as_array(), ctx, (prev_belief, prev_action))
+    return _decide(extract_features(signal), ctx, (prev_belief, prev_action))
 
 
 def run_session(epochs, ctx: DecisionContext, mode: str = "stateless",
@@ -141,7 +141,7 @@ def run_session(epochs, ctx: DecisionContext, mode: str = "stateless",
     prev = None
     for t, epoch in enumerate(epochs):
         try:
-            feats = epoch if epochs_are_features else extract_features(epoch).as_array()
+            feats = epoch if epochs_are_features else extract_features(epoch)
             decision = _decide(feats, ctx, prev)
             if mode == "recursive":
                 prev = (decision.belief, decision.action_idx)

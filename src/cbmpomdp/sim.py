@@ -8,8 +8,8 @@ import numpy as np
 
 from .errors import DataError
 from .gmm import GmmConfig, fit_gmm
-from .iohmm import (Dataset, GemConfig, IohmmModel, decode_states,
-                    forward_filter, gem_fit, predict_rul)
+from .iohmm import (Dataset, GemConfig, IohmmModel, forward_backward, forward_filter,
+                    gem_fit, predict_rul)
 from .pomdp import (PM_LABEL, PbviConfig, Policy, PomdpModel, _filter, build_pomdp,
                     pbvi_solve)
 
@@ -148,11 +148,13 @@ def transition_diagnostics(model_or_transitions) -> dict:
 def decoded_reverse_steps(dataset: Dataset, model: IohmmModel) -> dict:
     """Decoded-path regressions: mean per-sequence count of epochs whose MAP
     state is lower than the previous one, plus the model's summed
-    lower-triangular transition mass."""
-    total_reverse = 0
-    for seq in dataset.sequences:
-        labels, _ = decode_states(seq, model)
-        total_reverse += int(np.sum(np.diff(labels) < 0))
+    lower-triangular transition mass. One forward-backward pass decodes
+    every sequence."""
+    labels = forward_backward(dataset, model).gamma.argmax(axis=1)
+    reverse = np.diff(labels) < 0
+    lengths = [s.obs.shape[0] for s in dataset.sequences]
+    reverse[np.cumsum(lengths)[:-1] - 1] = False   # steps into the next sequence
+    total_reverse = int(reverse.sum())
     K = model.n_states
     back_mass = float(sum(model.transitions[a][np.tril_indices(K, k=-1)].sum()
                           for a in range(model.n_actions)))
@@ -201,10 +203,23 @@ def k_sweep(dataset: Dataset, k_values, gmm_components: int, costs, discount: fl
     return rows
 
 
-def rul_forecasts(seq, model: IohmmModel, action, horizon: int, quantiles: tuple) -> list:
-    """predict_rul at every epoch of a sequence, from its filtered beliefs."""
-    return [predict_rul(b, model, action, horizon=horizon, quantiles=quantiles)
-            for b in forward_filter(seq, model)]
+def rul_rows(dataset: Dataset, indices, model: IohmmModel, action, horizon: int,
+             quantiles: tuple) -> list:
+    """One row per epoch of each sequence dataset.sequences[i], i in indices:
+    the predict_rul band from the filtered state belief, and the true
+    remaining life (None unless the sequence failed). One filtered pass and
+    one stacked predict_rul serve every row."""
+    seqs = [dataset.sequences[i] for i in indices]
+    lengths = np.array([s.obs.shape[0] for s in seqs])
+    fc = predict_rul(forward_filter(Dataset(seqs, dataset.action_labels), model), model,
+                     action, horizon=horizon, quantiles=quantiles)
+    epoch = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    life = np.repeat(lengths - 1, lengths) - epoch
+    failed = np.repeat([s.failed for s in seqs], lengths)
+    columns = {"sequence": np.repeat(np.asarray(indices, dtype=int), lengths), "epoch": epoch,
+               "true_rul": np.where(failed, life, None), "lower": fc.lower,
+               "median": fc.median, "upper": fc.upper, "censored": fc.censored}
+    return [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]
 
 
 def rul_experiment(dataset: Dataset, model: IohmmModel, action,
@@ -216,28 +231,14 @@ def rul_experiment(dataset: Dataset, model: IohmmModel, action,
     predict_rul, and the resulting band is compared with the known remaining
     life. Censored forecasts are counted but excluded from coverage.
     """
-    rows = []
-    covered = 0
-    evaluated = 0
-    censored = 0
-    for idx, seq in enumerate(dataset.sequences):
-        if not seq.failed:
-            log.info("sequence %d has no failure time; skipped", idx)
-            continue
-        fail_epoch = seq.obs.shape[0] - 1
-        for t, fc in enumerate(rul_forecasts(seq, model, action, horizon, quantiles)):
-            true_rul = fail_epoch - t
-            row = {"sequence": idx, "epoch": t, "true_rul": true_rul,
-                   "lower": fc.lower, "median": fc.median, "upper": fc.upper,
-                   "censored": fc.censored}
-            rows.append(row)
-            if fc.censored:
-                censored += 1
-            else:
-                evaluated += 1
-                if fc.lower <= true_rul <= fc.upper:
-                    covered += 1
-    if evaluated == 0:
+    failed = [i for i, seq in enumerate(dataset.sequences) if seq.failed]
+    if len(failed) < len(dataset.sequences):
+        log.info("%d sequence(s) have no failure time; skipped",
+                 len(dataset.sequences) - len(failed))
+    rows = rul_rows(dataset, failed, model, action, horizon, quantiles) if failed else []
+    scored = [r for r in rows if not r["censored"]]
+    if not scored:
         raise DataError("no uncensored forecasts; nothing to calibrate")
-    return {"rows": rows, "coverage": covered / evaluated,
-            "n_evaluated": evaluated, "n_censored": censored}
+    covered = sum(r["lower"] <= r["true_rul"] <= r["upper"] for r in scored)
+    return {"rows": rows, "coverage": covered / len(scored),
+            "n_evaluated": len(scored), "n_censored": len(rows) - len(scored)}

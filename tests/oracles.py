@@ -120,3 +120,26 @@ def per_run_simulate(model, policy_source, horizon, n_runs, seed):
                       else predicted / predicted.sum())
         totals[i], discounted[i] = total, disc
     return totals, discounted, counts, failures
+
+
+def per_belief_rul(belief, model, action, horizon, quantiles):
+    """predict_rul one belief at a time: propagate b @ X[a] step by step and
+    record the first step at which the failure mass reaches each sorted
+    quantile. action is an index or a callable belief -> index. Returns
+    (values in the given quantile order, censored)."""
+    pick = action if callable(action) else (lambda _b: action)
+    b = np.asarray(belief, dtype=float).copy()
+    b /= b.sum()
+    todo = sorted(quantiles)
+    values = {}
+    step = 0
+    while True:
+        while todo and b[-1] >= todo[0] - 1e-12:
+            values[todo.pop(0)] = step
+        if not todo or step >= horizon:
+            break
+        b = b @ model.transitions[int(pick(b))]
+        step += 1
+    for q in todo:
+        values[q] = horizon
+    return tuple(values[q] for q in quantiles), bool(todo)

@@ -72,6 +72,14 @@ def cases(inputs: dict, side: Path) -> list:
         ("train-failures-action-emissions", ("train", "--data", inputs["failures"],
                                              "--states", 3, "--max-iters", 40,
                                              "--emission-mode", "action")),
+        ("compare-classical-action-emissions", ("compare-classical", "--data",
+                                                inputs["dataset"], "--states", 2,
+                                                "--max-iters", 10, "--emission-mode", "action")),
+        ("rul-no-failed-column", ("rul", "--iohmm", inputs["rul_model"], "--data",
+                                  inputs["unflagged"], "--action", "a0", "--horizon", 200)),
+        ("rul-one-epoch-failure", ("rul", "--iohmm", inputs["rul_model"], "--data",
+                                   inputs["one_epoch_failure"], "--action", "a0",
+                                   "--horizon", 200)),
         ("decide-bayes", (*decide, "--gmm", setup / "gmm.json", "--features",
                           inputs["row"], "--mode", "bayes")),
         ("decide-samples", (*decide, "--gmm", setup / "gmm.json", "--samples",
@@ -112,6 +120,11 @@ def cases(inputs: dict, side: Path) -> list:
         *((f"reject-rul-{name}", ("rul", "--iohmm", inputs[f"iohmm_{name}"], "--data",
                                   inputs["failures"], "--action", "a0"))
           for name in ("3-features", "transitions-1x1x2", "short-initial")),
+        *((f"reject-rul-{name}", ("rul", "--iohmm", inputs["rul_model"], "--data",
+                                  inputs["failures"], "--action", "a0", *flags))
+          for name, flags in (("horizon-negative", ("--horizon", -5)),
+                              ("horizon-zero", ("--horizon", 0)),
+                              ("quantile-negative", ("--quantiles", -0.2, 0.5)))),
         ("reject-build-pomdp-3-feature-iohmm", ("build-pomdp", "--iohmm",
                                                 inputs["iohmm_3-features"], "--gmm",
                                                 setup / "gmm.json", "--capacity-rewards", 1.0)),
@@ -119,8 +132,10 @@ def cases(inputs: dict, side: Path) -> list:
     return out
 
 
-def write_reject_inputs(root: Path, inputs: dict) -> dict:
-    """Inputs only the change-only cases read; some are derived from inputs."""
+def write_derived_inputs(root: Path, inputs: dict) -> dict:
+    """Inputs only this script reads, most of them derived from inputs: the
+    failure fleet without its failed column, the same fleet with a one-epoch
+    failed unit among the others, and the files the change-only cases read."""
     paths = {name: root / f"{name}.json"
              for name in ("gmm_d1", "gmm_heavy", "gmm_negative", "config_list")}
     GmmModel(weights=np.full(2, 0.5), means=np.array([[0.0], [1.0]]),
@@ -137,6 +152,18 @@ def write_reject_inputs(root: Path, inputs: dict) -> dict:
             ("short-initial", {"initial": [1.0]})):
         paths[f"iohmm_{name}"] = root / f"iohmm_{name}.json"
         paths[f"iohmm_{name}"].write_text(json.dumps({**rul, **change}))
+    with open(inputs["failures"], newline="") as fh:
+        header, *body = csv.reader(fh)
+    unit, failed = header.index("unit"), header.index("failed")
+    at = next(i for i, row in enumerate(body) if row[unit] == "u3")
+    one = list(body[at])
+    one[unit], one[failed] = "u_one", "1"
+    for name, rows in (("unflagged", [[v for j, v in enumerate(row) if j != failed]
+                                      for row in [header, *body]]),
+                       ("one_epoch_failure", [header, *body[:at], one, *body[at:]])):
+        paths[name] = root / f"{name}.csv"
+        with open(paths[name], "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
     return paths
 
 
@@ -172,7 +199,7 @@ def main(argv=None) -> int:
         work = Path(args.work or tmp).resolve()
         (work / "inputs").mkdir(parents=True)
         inputs = write_inputs(work / "inputs")
-        inputs.update(write_reject_inputs(work / "inputs", inputs))
+        inputs.update(write_derived_inputs(work / "inputs", inputs))
         base = run_side(baseline, inputs, work / "baseline", change=False)
         new = run_side(SRC, inputs, work / "change", change=True)
         base_files, new_files = digests(work / "baseline"), digests(work / "change")

@@ -361,8 +361,13 @@ def test_exit_code_mismatched_model_files(mismatched, tmp_path, argv):
     ("train", "--data", "train.csv", "--states", 0),
     ("select-k", "--data", "train.csv", "--k-min", 0, "--k-max", 2),
     ("select-k", "--data", "train.csv", "--k-min", 3, "--k-max", 2),
+    ("rul", "--iohmm", "iohmm.json", "--data", "train.csv", "--action", "a0", "--horizon", -5),
+    ("rul", "--iohmm", "iohmm.json", "--data", "train.csv", "--action", "a0", "--horizon", 0),
+    ("rul", "--iohmm", "iohmm.json", "--data", "train.csv", "--action", "a0",
+     "--quantiles", -0.2, 0.5),
 ], ids=["config-list", "session-samples-without-window", "train-zero-states",
-        "select-k-zero-min", "select-k-empty-range"])
+        "select-k-zero-min", "select-k-empty-range", "rul-negative-horizon",
+        "rul-zero-horizon", "rul-negative-quantile"])
 def test_exit_code_bad_arguments(pipeline, tmp_path, argv):
     root, _ = pipeline
     (tmp_path / "list.json").write_text("[1, 2]")

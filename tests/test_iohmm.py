@@ -8,7 +8,7 @@ from cbmpomdp import (Dataset, GemConfig, IohmmModel, Sequence, aic, bic,
 from cbmpomdp.errors import DataError, NumericalError
 from cbmpomdp.gmm import _component_logdensities, weighted_gaussians
 from cbmpomdp.iohmm import InvalidAction, NoFailureState
-from oracles import enumerate_posteriors
+from oracles import enumerate_posteriors, per_belief_rul
 from synth import left_to_right_model, sample_dataset
 
 
@@ -431,6 +431,46 @@ def test_rul_action_callable():
     fixed = predict_rul(b, model, action=0)
     picked = predict_rul(b, model, action=lambda belief: 0)
     assert fixed.values == picked.values
+
+
+@pytest.mark.parametrize("action", [0, 1, lambda b: int(b[0] < 0.5)],
+                         ids=["fixed-0", "fixed-1", "callable"])
+@pytest.mark.parametrize("quantiles", [(0.025, 0.5, 0.975), (0.9, 0.5, 0.5, 0.0, 1.0)],
+                         ids=["band", "duplicates-and-ends"])
+@pytest.mark.parametrize("horizon", [1, 4, 500])
+def test_rul_stack_matches_per_belief_oracle(action, quantiles, horizon):
+    model = left_to_right_model(n_states=4, stay=(0.9, 0.6))
+    rng = np.random.default_rng(11)
+    beliefs = rng.dirichlet(np.full(4, 0.4), size=60) * rng.uniform(0.5, 3.0, size=(60, 1))
+    beliefs[0] = [0.0, 0.0, 0.0, 2.0]      # failed already: every quantile at step 0
+    stacked = predict_rul(beliefs, model, action, horizon=horizon, quantiles=quantiles)
+    assert stacked.values.shape == (60, len(quantiles))
+    assert stacked.quantiles == quantiles
+    for i, b in enumerate(beliefs):
+        values, censored = per_belief_rul(b, model, action, horizon, quantiles)
+        assert tuple(stacked.values[i].tolist()) == values
+        assert bool(stacked.censored[i]) == censored
+        one = predict_rul(b, model, action, horizon=horizon, quantiles=quantiles)
+        assert (one.values, one.censored) == (values, censored)
+        assert (one.lower, one.median, one.upper) == (stacked.lower[i], stacked.median[i],
+                                                       stacked.upper[i])
+    if horizon == 1:
+        assert stacked.censored.any()
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"horizon": 0}, {"horizon": -5}, {"quantiles": (-0.2, 0.5)}, {"quantiles": (0.5, 1.5)},
+    {"quantiles": (float("nan"),)}, {"quantiles": ()},
+    {"belief": [0.0, 0.0]}, {"belief": [float("nan"), 1.0]}, {"belief": [-0.5, 1.5]},
+    {"belief": [float("inf"), 1.0]}, {"belief": [[1.0, 0.0], [0.0, 0.0]]},
+], ids=["horizon-0", "horizon-negative", "quantile-negative", "quantile-above-1",
+        "quantile-nan", "no-quantiles", "zero-belief", "nan-belief", "negative-belief",
+        "infinite-belief", "zero-row-in-stack"])
+def test_rul_rejects_bad_arguments(kwargs):
+    args = {"belief": [1.0, 0.0], "horizon": 10, "quantiles": (0.5,), **kwargs}
+    with pytest.raises(DataError):
+        predict_rul(np.array(args["belief"]), geometric_model(), 0, horizon=args["horizon"],
+                    quantiles=args["quantiles"])
 
 
 # ---------------------------------------------------------------------------

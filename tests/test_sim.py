@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from cbmpomdp import (GemConfig, PbviConfig, PomdpModel, SimConfig, compare_classical,
-                      decoded_reverse_steps, forward_filter, gem_fit, pbvi_solve,
-                      rul_experiment, simulate, transition_diagnostics)
+from cbmpomdp import (Dataset, GemConfig, IohmmModel, PbviConfig, PomdpModel, Sequence,
+                      SimConfig, compare_classical, decode_states, decoded_reverse_steps,
+                      forward_filter, gem_fit, pbvi_solve, rul_experiment, simulate,
+                      transition_diagnostics)
 from cbmpomdp.bearing import CAPACITY_LABELS, bearing_pomdp
 from cbmpomdp.errors import DataError
-from cbmpomdp.sim import _CHUNK
-from oracles import per_run_simulate
+from cbmpomdp.sim import _CHUNK, rul_rows
+from oracles import per_belief_rul, per_run_simulate
 from synth import (deterministic_chain_model, left_to_right_model,
                    sample_dataset, sample_failure_dataset)
 
@@ -175,6 +176,59 @@ def test_decoded_reverse_steps_counts_oscillation():
     diag = decoded_reverse_steps(data, osc)
     assert diag["total_reverse"] > 0
     assert diag["backward_prob"] == pytest.approx(0.9)
+
+
+def ragged_fleet(model, seed=5):
+    """Sequences of 7, 1, 12, 3, 9 and 1 epochs under random actions; the
+    first, second and fourth are flagged failed."""
+    lengths, failed = (7, 1, 12, 3, 9, 1), (True, True, False, True, False, False)
+    data = sample_dataset(model, n_seqs=len(lengths), T=max(lengths), seed=seed)
+    return Dataset([Sequence(s.obs[:T], s.actions[:T], failed=f)
+                    for s, T, f in zip(data.sequences, lengths, failed)], data.action_labels)
+
+
+def test_decoded_reverse_steps_matches_per_sequence_decode():
+    osc = IohmmModel(action_labels=("a0", "a1"),
+                     transitions=np.array([[[0.3, 0.7, 0.0], [0.5, 0.2, 0.3], [0.0, 0.6, 0.4]],
+                                           [[0.6, 0.4, 0.0], [0.1, 0.6, 0.3], [0.3, 0.0, 0.7]]]),
+                     means=np.array([[0.0, 0.0], [3.0, 1.5], [6.0, 3.0]]),
+                     covariances=np.tile(np.eye(2), (3, 1, 1)),
+                     initial=np.array([0.2, 0.3, 0.5]))
+    data = ragged_fleet(osc)
+    labels = [decode_states(seq, osc)[0] for seq in data.sequences]
+    expected = sum(int((np.diff(lab) < 0).sum()) for lab in labels)
+    diag = decoded_reverse_steps(data, osc)
+    assert diag["total_reverse"] == expected > 0
+    assert diag["reverse_steps"] == expected / len(data.sequences)
+    # some sequence starts below where the one before it ended; that step must not count
+    assert (np.diff(np.concatenate(labels)) < 0).sum() > expected
+
+
+def test_rul_rows_match_per_sequence_loop():
+    model = left_to_right_model(n_states=3, n_actions=2, stay=(0.8, 0.5))
+    data = ragged_fleet(model)
+    quantiles = (0.025, 0.5, 0.975)
+    np.testing.assert_array_equal(forward_filter(data, model),
+                                  np.vstack([forward_filter(s, model) for s in data.sequences]))
+    expected = []
+    for i, seq in enumerate(data.sequences):
+        T = seq.obs.shape[0]
+        for t, b in enumerate(forward_filter(seq, model)):
+            values, censored = per_belief_rul(b, model, 1, 8, quantiles)
+            expected.append({"sequence": i, "epoch": t,
+                             "true_rul": T - 1 - t if seq.failed else None,
+                             "lower": values[0], "median": values[1], "upper": values[2],
+                             "censored": censored})
+    assert rul_rows(data, range(6), model, "a1", 8, quantiles) == expected
+    failed = [r for r in expected if r["true_rul"] is not None]
+    scored = [r for r in failed if not r["censored"]]
+    result = rul_experiment(data, model, "a1", horizon=8, quantiles=quantiles)
+    assert result["rows"] == failed
+    assert result["coverage"] == sum(r["lower"] <= r["true_rul"] <= r["upper"]
+                                     for r in scored) / len(scored)
+    assert (result["n_evaluated"], result["n_censored"]) == (len(scored),
+                                                             len(failed) - len(scored))
+    assert result["n_censored"] > 0 and result["n_evaluated"] > 0
 
 
 def test_compare_classical_reports_both_variants():
