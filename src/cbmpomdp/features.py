@@ -52,9 +52,12 @@ def extract_features(window) -> np.ndarray:
         abs_mean = float(np.mean(np.abs(x)))
         x_max = float(np.max(np.abs(x)))
         with np.errstate(all="ignore"):
-            computed = (float(np.sum(dev ** 3) / rms ** 3), float(np.sum(dev ** 4) / rms ** 4),
-                        x_max / rms, rms / abs_mean, x_max / abs_mean, x_max / abs_mean ** 2)
-        # rms**3 or abs_mean**2 can underflow; the ratios then carry no information
+            try:
+                computed = (float(np.sum(dev ** 3) / rms ** 3), float(np.sum(dev ** 4) / rms ** 4),
+                            x_max / rms, rms / abs_mean, x_max / abs_mean, x_max / abs_mean ** 2)
+            except OverflowError:  # a Python-float power past the float range
+                computed = ratios
+        # rms**3 or abs_mean**2 can underflow or overflow; the ratios then carry no information
         if all(np.isfinite(r) for r in computed):
             ratios = computed
     skewness, kurtosis, crest, shape, impulse, margin = ratios

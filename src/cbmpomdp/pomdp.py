@@ -276,16 +276,16 @@ def backup(beliefs: np.ndarray, alphas: np.ndarray, model: PomdpModel) -> tuple:
 
 
 def prune_alphas(alphas: np.ndarray, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Drop pointwise-dominated vectors (and duplicates, keeping the first)."""
+    """Drop pointwise-dominated vectors and duplicates (keeping the first),
+    comparing one state column at a time: O(n^2) booleans of scratch."""
     n = alphas.shape[0]
-    if n <= 1:
-        return alphas, actions
-    ge = (alphas[:, None, :] >= alphas[None, :, :]).all(axis=2)
-    eq = ge & ge.T
+    ge = np.ones((n, n), dtype=bool)                       # ge[j, i]: j >= i pointwise
+    for col in alphas.T:
+        ge &= col[:, None] >= col
     # vector i falls to j when j >= i pointwise and j is strictly better
-    # somewhere, or j is an earlier duplicate (j < i)
-    earlier = np.triu(np.ones((n, n), dtype=bool), k=1)
-    keep = ~(ge & (~eq | earlier)).any(axis=0)
+    # somewhere (i is not >= j), or j is an earlier duplicate (j < i)
+    earlier = np.arange(n)[:, None] < np.arange(n)
+    keep = ~(ge & (~ge.T | earlier)).any(axis=0)
     return alphas[keep], actions[keep]
 
 
@@ -318,9 +318,10 @@ def pbvi_solve(model: PomdpModel, b0: np.ndarray | None = None,
 
     Alternates improvement sweeps (a backup at every belief point, keeping
     the union of old and new vectors, pruned) with belief-set expansion.
-    Sweeps stop when the value at every belief point moves less than
-    improve_tol. The single starting vector min(R)/(1-gamma) keeps the value
-    function a lower bound, so sweeps never decrease it.
+    Each sweep scores the belief points once, and sweeps stop when no value
+    moves by improve_tol or more. The single starting vector min(R)/(1-gamma)
+    keeps the value function a lower bound, so sweeps never decrease it. The
+    summary log record carries event "pbvi_solve" and its counts as fields.
     """
     model.validate()
     config = config or PbviConfig()
@@ -336,19 +337,22 @@ def pbvi_solve(model: PomdpModel, b0: np.ndarray | None = None,
     sweeps = 0
     residual = float("inf")
     for round_idx in range(config.max_expansions + 1):
+        values = _values(alphas, beliefs)
         for _ in range(config.max_improve_sweeps):
-            values = _values(alphas, beliefs)
             new_vecs, new_acts = backup(beliefs, alphas, model)
             alphas, actions = prune_alphas(np.vstack([alphas, new_vecs]),
                                            np.concatenate([actions, new_acts]))
             sweeps += 1
-            residual = float(np.max(np.abs(_values(alphas, beliefs) - values)))
+            before, values = values, _values(alphas, beliefs)
+            residual = float(np.max(np.abs(values - before)))
             if residual < config.improve_tol:
                 break
         if round_idx < config.max_expansions:
             beliefs = expand(beliefs, model)
     log.info("pbvi: %d alpha vectors, %d belief points, %d sweeps, residual %.3g",
-             alphas.shape[0], len(beliefs), sweeps, residual)
+             alphas.shape[0], len(beliefs), sweeps, residual,
+             extra={"event": "pbvi_solve", "sweeps": sweeps, "alphas": alphas.shape[0],
+                    "beliefs": len(beliefs), "residual": residual})
     return Policy(alphas=alphas, alpha_actions=actions,
                   action_labels=list(model.action_labels), discount=model.discount,
                   beliefs=beliefs, iterations=sweeps, residual=residual)

@@ -21,6 +21,9 @@ def write_inputs(root: Path) -> dict:
     samples = root / "samples.csv"
     samples.write_text("sample\n" + "\n".join(
         repr(float(v)) for v in rng.normal(size=256)) + "\n")
+    # one 32-sample window whose rms (1e150) is past the range of rms ** 4
+    overflow = root / "overflow_samples.csv"
+    overflow.write_text("sample\n" + "\n".join(["1e150"] * 16 + ["-1e150"] * 16) + "\n")
 
     truth = left_to_right_model(n_states=2, n_actions=2, n_features=11,
                                 separation=6.0, stay=(0.8, 0.6))
@@ -55,8 +58,9 @@ def write_inputs(root: Path) -> dict:
     write_features_csv(epoch_csv, data.sequences[0].obs)
     row_csv = root / "row.csv"
     write_features_csv(row_csv, truth.means[1][None, :])
-    return {"samples": samples, "dataset": dataset_csv, "rul_model": root / "rul_model.json",
-            "failures": fail_csv, "epochs": epoch_csv, "row": row_csv}
+    return {"samples": samples, "overflow_samples": overflow, "dataset": dataset_csv,
+            "rul_model": root / "rul_model.json", "failures": fail_csv, "epochs": epoch_csv,
+            "row": row_csv}
 
 
 def setup_commands(inputs: dict, setup: Path) -> list:

@@ -9,9 +9,10 @@ count). For every case it compares the exit code, stdout with the output
 directory masked, and the sha256 of every output file. The table is
 criterion 10's commands and set-up (tests/cli_cases.py) plus the full
 bearing solve, bearing simulations at 100 runs x 10,000 epochs, and
-recursive sessions. Cases marked "change only" are inputs this checkout
-rejects on purpose: they run here alone and must exit 2. Prints one table
-and exits 1 on any difference. For every JSON, JSONL or CSV output that
+recursive sessions. Cases marked "change only" are inputs whose handling
+this checkout changed on purpose: they run here alone and must exit with
+the code they name, 2 for an input now rejected (writing no file) and 0
+for one now accepted. Prints one table and exits 1 on any difference. For every JSON, JSONL or CSV output that
 differs it also prints the drift: the largest absolute and relative change
 of any float, and each other field (integer, string, flag, shape) that
 changed.
@@ -41,27 +42,29 @@ from cli_cases import commands, setup_commands, write_inputs  # noqa: E402
 
 
 def cases(inputs: dict, side: Path) -> list:
-    """(name, output directory, argv, change only) in run order; argv may
-    read outputs of earlier cases on the same side."""
+    """(name, output directory, argv, expected exit) in run order; the
+    expected exit is None for a case run on both sides, or the exit code of
+    a change-only case. argv may read outputs of earlier cases on the same
+    side."""
     setup = side / "setup"
-    out = [(f"setup-{argv[0]}", setup, argv, False) for argv in setup_commands(inputs, setup)]
-    out += [(name, side / name, argv, False) for name, argv in commands(inputs, setup).items()]
+    out = [(f"setup-{argv[0]}", setup, argv, None) for argv in setup_commands(inputs, setup)]
+    out += [(name, side / name, argv, None) for name, argv in commands(inputs, setup).items()]
     bearing = side / "bearing-solve"
     sim = ("--horizon", 10000, "--runs", 100)
     session = ("--pomdp", setup / "pomdp.json", "--policy", setup / "policy.json",
                "--mode", "recursive")
     out += [
         ("bearing-solve", bearing, ("solve", "--fixture", "bearing", "--improve-tol", "1e-5",
-                                    "--max-expansions", 8), False),
+                                    "--max-expansions", 8), None),
         ("bearing-simulate-policy", side / "bearing-simulate-policy",
          ("simulate", "--pomdp", bearing / "pomdp.json", "--policy",
-          bearing / "policy.json", *sim), False),
+          bearing / "policy.json", *sim), None),
     ]
     out += [(f"bearing-simulate-{c}", side / f"bearing-simulate-{c}",
-             ("simulate", "--pomdp", bearing / "pomdp.json", "--fixed-action", c, *sim), False)
+             ("simulate", "--pomdp", bearing / "pomdp.json", "--fixed-action", c, *sim), None)
             for c in ("C=1.2", "C=1.3", "C=1.5")]
     decide = ("decide", "--pomdp", setup / "pomdp.json", "--policy", setup / "policy.json")
-    out += [(name, side / name, argv, False) for name, argv in (
+    out += [(name, side / name, argv, None) for name, argv in (
         ("fit-gmm-diag", ("fit-gmm", "--data", inputs["dataset"], "--components", 2,
                           "--covariance", "diag")),
         ("fit-gmm-5", ("fit-gmm", "--data", inputs["dataset"], "--components", 5)),
@@ -88,21 +91,21 @@ def cases(inputs: dict, side: Path) -> list:
     out += [
         ("run-session-samples-bayes", side / "run-session-samples-bayes",
          ("run-session", *session, "--gmm", setup / "gmm.json", "--samples",
-          inputs["samples"], "--window", 16, "--belief-mode", "bayes"), False),
+          inputs["samples"], "--window", 16, "--belief-mode", "bayes"), None),
         ("reject-simulate-zero-horizon", side / "reject-simulate-zero-horizon",
          ("simulate", "--pomdp", bearing / "pomdp.json", "--fixed-action", "C=1.2",
-          "--horizon", 0), True),
+          "--horizon", 0), 2),
         ("reject-simulate-zero-runs", side / "reject-simulate-zero-runs",
          ("simulate", "--pomdp", bearing / "pomdp.json", "--fixed-action", "C=1.2",
-          "--runs", 0), True),
+          "--runs", 0), 2),
         ("reject-decide-one-feature-gmm", side / "reject-decide-one-feature-gmm",
          ("decide", "--pomdp", setup / "pomdp.json", "--policy", setup / "policy.json",
-          "--gmm", inputs["gmm_d1"], "--features", inputs["row"]), True),
+          "--gmm", inputs["gmm_d1"], "--features", inputs["row"]), 2),
         ("reject-session-one-feature-gmm", side / "reject-session-one-feature-gmm",
          ("run-session", *session, "--gmm", inputs["gmm_d1"], "--data", inputs["epochs"]),
-         True),
+         2),
     ]
-    out += [(name, side / name, argv, True) for name, argv in (
+    out += [(name, side / name, argv, 2) for name, argv in (
         ("reject-decide-weights-sum-2.5", (*decide, "--gmm", inputs["gmm_heavy"],
                                            "--features", inputs["row"])),
         ("reject-decide-negative-weight", (*decide, "--gmm", inputs["gmm_negative"],
@@ -128,6 +131,13 @@ def cases(inputs: dict, side: Path) -> list:
         ("reject-build-pomdp-3-feature-iohmm", ("build-pomdp", "--iohmm",
                                                 inputs["iohmm_3-features"], "--gmm",
                                                 setup / "gmm.json", "--capacity-rewards", 1.0)),
+    )]
+    out += [(name, side / name, argv, 0) for name, argv in (
+        ("accept-features-overflow-window", ("features", "--samples",
+                                             inputs["overflow_samples"], "--window", 32)),
+        ("accept-session-overflow-window", ("run-session", *session, "--gmm",
+                                            setup / "gmm.json", "--samples",
+                                            inputs["overflow_samples"], "--window", 32)),
     )]
     return out
 
@@ -171,8 +181,8 @@ def run_side(src: Path, inputs: dict, side: Path, change: bool) -> dict:
     """Run every case against src; returns name -> (exit code, masked stdout)."""
     env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
     results = {}
-    for name, out, argv, change_only in cases(inputs, side):
-        if change_only and not change:
+    for name, out, argv, expect in cases(inputs, side):
+        if expect is not None and not change:
             continue
         proc = subprocess.run([sys.executable, "-m", "cbmpomdp", *map(str, argv),
                                "--seed", "0", "--out", str(out)],
@@ -275,14 +285,15 @@ def report(inputs, work, base, new, base_files, new_files) -> int:
     # they are compared on the last of them
     owner = {out: name for name, out, _, _ in table}
     failed = n_files = 0
-    for name, out, _, change_only in table:
+    for name, out, _, expect in table:
         code, stdout = new[name]
         rel = out.relative_to(work / "change").name
         mine = {k: v for k, v in new_files.items() if k.split(os.sep)[0] == rel}
-        if change_only:
-            ok = code == 2 and not mine
-            print(f"{name:34s} {'-':>4s}/{code:<4d}  {'-':6s} {0:5d}  "
-                  f"{'change only, rejected' if ok else 'FAILED: expected exit 2'}")
+        if expect is not None:
+            ok = code == expect and bool(mine) == (expect == 0)
+            verdict = "change only, " + ("rejected" if expect else "accepted")
+            print(f"{name:34s} {'-':>4s}/{code:<4d}  {'-':6s} {len(mine):5d}  "
+                  f"{verdict if ok else f'FAILED: expected exit {expect}'}")
             failed += not ok
             continue
         b_code, b_stdout = base[name]

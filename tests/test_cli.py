@@ -177,6 +177,22 @@ def test_run_session_jsonl(pipeline, model11, tmp_path):
         assert all("action" in r for r in rows)
 
 
+def test_overflowing_window_is_degenerate_not_a_crash(pipeline, tmp_path):
+    root, _ = pipeline
+    stream = tmp_path / "overflow.csv"
+    stream.write_text("sample\n" + "\n".join(["1e150"] * 16 + ["-1e150"] * 16) + "\n")
+    ok("features", "--samples", stream, "--window", 32, "--out", tmp_path)
+    header, row = (tmp_path / "features.csv").read_text().splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert cells["skewness"] == cells["margin"] == "nan"
+    out = ok("run-session", "--pomdp", root / "pomdp.json", "--policy", root / "policy.json",
+             "--gmm", root / "gmm.json", "--samples", stream, "--window", 32,
+             "--mode", "recursive", "--out", tmp_path)
+    assert "1 epochs (1 skipped)" in out.stdout
+    row, = [json.loads(line) for line in (tmp_path / "session.jsonl").read_text().splitlines()]
+    assert row["epoch"] == 0 and "non-finite" in row["error"]
+
+
 def test_simulate_policy_and_fixed(tmp_path):
     ok("solve", "--fixture", "bearing", "--max-expansions", 3,
        "--improve-tol", "1e-3", "--out", tmp_path)

@@ -64,6 +64,17 @@ def test_zero_window_degenerate():
         assert math.isnan(getattr(f, name))
 
 
+@pytest.mark.parametrize("level", [2e77, 1e150])
+def test_overflowing_window_degenerate(level):
+    # rms ** 4 (and at 1e150 rms ** 3) is past the float range: the window
+    # takes the degenerate path instead of raising OverflowError
+    f = features([level] * 16 + [-level] * 16)
+    assert f.rms == pytest.approx(level, rel=1e-15) and f.mean == 0.0
+    assert f.pp == 2 * level and math.isfinite(f.energy)
+    for name in RATIOS:
+        assert math.isnan(getattr(f, name))
+
+
 def test_too_short_window():
     with pytest.raises(EmptyWindow):
         extract_features([1.0])

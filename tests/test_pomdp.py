@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -255,6 +257,44 @@ def test_prune_keeps_incomparable():
     assert kept.shape == (2, 2)
 
 
+def pairwise_keep(alphas):
+    """The one-pair-at-a-time rule of test_prune_matches_pairwise_loop."""
+    rows = alphas.tolist()
+    return [i for i, a in enumerate(rows)
+            if not any(j != i and all(x >= y for x, y in zip(b, a))
+                       and (any(x > y for x, y in zip(b, a)) or j < i)
+                       for j, b in enumerate(rows))]
+
+
+@pytest.mark.parametrize("width", [1, 2, 6, 8])
+@pytest.mark.parametrize("n", [2, 37, 150])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_prune_matches_pairwise_rule_with_ties(seed, n, width):
+    # values from {0, 1, 2}: ties and exact duplicates are common
+    rng = np.random.default_rng(seed)
+    alphas = rng.integers(0, 3, size=(n, width)).astype(float)
+    actions = rng.integers(0, 4, size=n)
+    keep = pairwise_keep(alphas)
+    kept, acts = prune_alphas(alphas, actions)
+    np.testing.assert_array_equal(kept, alphas[keep])
+    np.testing.assert_array_equal(acts, actions[keep])
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_prune_passes_tiny_stacks_through(n):
+    alphas, actions = np.ones((n, 3)), np.arange(n)
+    kept, acts = prune_alphas(alphas, actions)
+    np.testing.assert_array_equal(kept, alphas)
+    np.testing.assert_array_equal(acts, actions)
+
+
+def test_prune_all_equal_keeps_first():
+    alphas = np.full((50, 4), 2.5)
+    kept, acts = prune_alphas(alphas, np.arange(50))
+    np.testing.assert_array_equal(kept, alphas[:1])
+    np.testing.assert_array_equal(acts, [0])
+
+
 def test_expand_reaches_new_corners():
     X = np.array([[[0.0, 1.0], [0.0, 1.0]]])
     Z = np.tile(np.eye(2), (1, 1, 1))
@@ -325,6 +365,24 @@ def test_pbvi_deterministic(tmp_path):
     a.save(p1)
     b.save(p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_bearing_solve_work_is_pinned():
+    # criterion 5/6 settings: a faster solve must do this same work
+    pol = pbvi_solve(bearing_pomdp(), config=PbviConfig(improve_tol=1e-5, max_expansions=8))
+    assert (pol.alphas.shape[0], len(pol.beliefs), pol.iterations) == (199, 256, 773)
+    value, _ = pol.value(np.eye(pol.alphas.shape[1])[0])
+    assert value == pytest.approx(21.327781931896883, abs=1e-9)
+
+
+def test_pbvi_logs_summary_event(caplog):
+    with caplog.at_level(logging.INFO, logger="cbmpomdp.pomdp"):
+        pol = pbvi_solve(tiny_pomdp(), config=PbviConfig(max_expansions=2))
+    rec, = [r for r in caplog.records if getattr(r, "event", None) == "pbvi_solve"]
+    assert (rec.sweeps, rec.alphas, rec.beliefs, rec.residual) == (
+        pol.iterations, pol.alphas.shape[0], len(pol.beliefs), pol.residual)
+    assert rec.getMessage() == (f"pbvi: {rec.alphas} alpha vectors, {rec.beliefs} belief "
+                                f"points, {rec.sweeps} sweeps, residual {rec.residual:.3g}")
 
 
 def test_policy_serialization_roundtrip(tmp_path):
